@@ -6,6 +6,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -431,7 +432,7 @@ func BenchmarkConvForward(b *testing.B) {
 }
 
 // BenchmarkConvTrainStep measures one forward+backward pass of a single
-// convolution layer on the batched im2col path.
+// convolution layer on the chunked im2col path.
 func BenchmarkConvTrainStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	layer := nn.NewConv2D(8, 16, 3, 1, 1, 1, rng)
@@ -443,6 +444,41 @@ func BenchmarkConvTrainStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		layer.Forward(x, true)
 		layer.Backward(grad)
+	}
+}
+
+// BenchmarkConvLowering measures one float64 forward+backward pass of each
+// convolution shape the paper-setting fleet trains, at SupCon's stacked
+// batch (two views of 16 examples, N=32) and at N=37, which leaves a
+// partial last chunk. Shapes: the 8→8 3×3 residual conv at 12×12, the 8→16
+// and 16→16 3×3 convs at 6×6, and the 8→16 1×1 projection at 6×6.
+func BenchmarkConvLowering(b *testing.B) {
+	shapes := []struct {
+		name              string
+		inC, outC, k, pad int
+		hw                int
+	}{
+		{"8to8_3x3_12x12", 8, 8, 3, 1, 12},
+		{"8to16_3x3_6x6", 8, 16, 3, 1, 6},
+		{"16to16_3x3_6x6", 16, 16, 3, 1, 6},
+		{"8to16_1x1_6x6", 8, 16, 1, 0, 6},
+	}
+	for _, s := range shapes {
+		for _, n := range []int{32, 37} {
+			b.Run(fmt.Sprintf("%s_N%d", s.name, n), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				layer := nn.NewConv2D(s.inC, s.outC, s.k, 1, s.pad, 1, rng)
+				x := tensor.New(n, s.inC, s.hw, s.hw)
+				x.FillRandn(rng, 1)
+				grad := tensor.New(n, s.outC, s.hw, s.hw)
+				grad.FillRandn(rng, 1)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					layer.Forward(x, true)
+					layer.Backward(grad)
+				}
+			})
+		}
 	}
 }
 

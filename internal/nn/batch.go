@@ -6,17 +6,18 @@ import (
 
 // Cross-client batched stepping (DESIGN.md §12): a group of structurally
 // identical models advances through one forward/backward pass in lockstep,
-// lowering each layer's per-client GEMMs — one per model — into a single
-// batched launch via tensor.MatMulBatch*. The batched entry points preserve
-// every product's standalone shard plan, so a group step is byte-identical
-// to stepping the models one after another; grouping is purely a dispatch
-// optimization.
+// lowering each Dense layer's per-client GEMMs — one per model — into a
+// single batched launch via tensor.MatMulBatch*. The batched entry points
+// preserve every product's standalone shard plan, so a group step is
+// byte-identical to stepping the models one after another; grouping is
+// purely a dispatch optimization.
 //
-// Only the GEMM-bearing layers (Dense, Conv2D) have fused group paths.
-// Everything else — activations, pooling, normalization, shape adapters and
-// composites — runs per model at its layer index, which costs nothing:
-// those layers are memory-bound elementwise passes with no launch to
-// amortize.
+// Only Dense has a fused group path. Everything else runs per model at its
+// layer index: activations, pooling, normalization, shape adapters and
+// composites are memory-bound elementwise passes with no launch to
+// amortize, and Conv2D lowers each model's batch in cache-sized chunks
+// (see Conv2D) whose small per-chunk GEMMs leave no launch worth fusing
+// either.
 
 // DenseForwardBatch runs ds[g].Forward(xs[g], train) for every g with the
 // per-client GEMMs fused into one batched launch.
@@ -76,147 +77,6 @@ func DenseBackwardBatch(ds []*Dense, grads []*tensor.Tensor) []*tensor.Tensor {
 	return dxs
 }
 
-// sameConvConfig reports whether every layer shares cs[0]'s static
-// convolution geometry, the precondition for walking their channel groups in
-// lockstep.
-func sameConvConfig(cs []*Conv2D) bool {
-	c0 := cs[0]
-	for _, c := range cs[1:] {
-		if c.InC != c0.InC || c.OutC != c0.OutC || c.KH != c0.KH || c.KW != c0.KW ||
-			c.Stride != c0.Stride || c.Pad != c0.Pad || c.Groups != c0.Groups {
-			return false
-		}
-	}
-	return true
-}
-
-// Conv2DForwardBatch runs cs[g].Forward(xs[g], train) for every g. The
-// im2col lowerings run per client; each channel group's per-client GEMMs
-// fuse into one batched launch, with the bias-fused scatter per client in
-// between (each client's gemmOut scratch is reused across its groups, so
-// group products must scatter before the next group index runs).
-func Conv2DForwardBatch(cs []*Conv2D, xs []*tensor.Tensor, train bool) []*tensor.Tensor {
-	if len(cs) != len(xs) {
-		panic("nn: Conv2DForwardBatch length mismatch")
-	}
-	if !sameConvConfig(cs) {
-		outs := make([]*tensor.Tensor, len(cs))
-		for g, c := range cs {
-			outs[g] = c.Forward(xs[g], train)
-		}
-		return outs
-	}
-	outs := make([]*tensor.Tensor, len(cs))
-	ns := make([]int, len(cs))
-	for g, c := range cs {
-		x := xs[g]
-		if x.Rank() != 4 || x.Dim(1) != c.InC {
-			panic("nn: Conv2DForwardBatch input shape mismatch")
-		}
-		if x.DT != c.W.Value.DT {
-			panic("nn: Conv2DForwardBatch input dtype mismatch (cast inputs at the model boundary)")
-		}
-		n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-		c.ensureWorkspace(n, h, w)
-		ns[g] = n
-		outs[g] = c.out.next(x.DT, n, c.OutC, c.outH, c.outW)
-		if x.DT.Backing() == tensor.F32 {
-			xd, colsd := tensor.Of[float32](x), tensor.Of[float32](c.cols)
-			parallelFor(n, func(i int) { im2col(c, xd, colsd, i) })
-		} else {
-			parallelFor(n, func(i int) { im2col(c, x.Data, c.cols.Data, i) })
-		}
-	}
-	gemmOuts := make([]*tensor.Tensor, len(cs))
-	wgs := make([]*tensor.Tensor, len(cs))
-	colsVs := make([]*tensor.Tensor, len(cs))
-	for grp := 0; grp < cs[0].Groups; grp++ {
-		for g, c := range cs {
-			gemmOuts[g], wgs[g], colsVs[g] = c.gemmOut, c.wgV[grp], c.colsV[grp]
-		}
-		tensor.MatMulBatchInto(gemmOuts, wgs, colsVs)
-		for g, c := range cs {
-			if outs[g].DT.Backing() == tensor.F32 {
-				convScatterGroup(c, tensor.Of[float32](outs[g]), tensor.Of[float32](c.gemmOut),
-					tensor.Of[float32](c.B.Value), grp, ns[g])
-			} else {
-				convScatterGroup(c, outs[g].Data, c.gemmOut.Data, c.B.Value.Data, grp, ns[g])
-			}
-		}
-	}
-	return outs
-}
-
-// Conv2DBackwardBatch runs cs[g].Backward(grads[g]) for every g, fusing each
-// channel group's weight- and column-gradient GEMMs across the clients.
-func Conv2DBackwardBatch(cs []*Conv2D, grads []*tensor.Tensor) []*tensor.Tensor {
-	if len(cs) != len(grads) {
-		panic("nn: Conv2DBackwardBatch length mismatch")
-	}
-	if !sameConvConfig(cs) {
-		dxs := make([]*tensor.Tensor, len(cs))
-		for g, c := range cs {
-			dxs[g] = c.Backward(grads[g])
-		}
-		return dxs
-	}
-	dxs := make([]*tensor.Tensor, len(cs))
-	ns := make([]int, len(cs))
-	for g, c := range cs {
-		grad := grads[g]
-		n := grad.Dim(0)
-		if n != c.batch || grad.Dim(1) != c.OutC {
-			panic("nn: Conv2DBackwardBatch grad shape does not match forward batch")
-		}
-		c.ensureBackwardWorkspace()
-		c.dx = tensor.EnsureOf(grad.DT, c.dx, n, c.InC, c.inH, c.inW)
-		if !c.convInitsDX() {
-			c.dx.Zero()
-		}
-		dxs[g] = c.dx
-		ns[g] = n
-		if grad.DT.Backing() == tensor.F32 {
-			convGatherGrad(c, tensor.Of[float32](grad), tensor.Of[float32](c.gmat),
-				tensor.Of[float32](c.B.Grad), n)
-		} else {
-			convGatherGrad(c, grad.Data, c.gmat.Data, c.B.Grad.Data, n)
-		}
-	}
-	dwts := make([]*tensor.Tensor, len(cs))
-	gms := make([]*tensor.Tensor, len(cs))
-	colsVs := make([]*tensor.Tensor, len(cs))
-	dcolsVs := make([]*tensor.Tensor, len(cs))
-	wgs := make([]*tensor.Tensor, len(cs))
-	for grp := 0; grp < cs[0].Groups; grp++ {
-		for g, c := range cs {
-			dwts[g], gms[g], colsVs[g] = c.dwt, c.gmatV[grp], c.colsV[grp]
-			dcolsVs[g], wgs[g] = c.dcolsV[grp], c.wgV[grp]
-		}
-		// Same transposed dW form as the standalone backward (see
-		// convBackward): pack the short gmat operand, then scatter the
-		// transpose into the zeroed weight gradient.
-		tensor.MatMulBatchABTInto(dwts, colsVs, gms)
-		for g, c := range cs {
-			if grads[g].DT.Backing() == tensor.F32 {
-				addTransposed(tensor.Of[float32](c.dwV[grp]), tensor.Of[float32](c.dwt),
-					c.outCPerGroup, c.kernelElems)
-			} else {
-				addTransposed(c.dwV[grp].Data, c.dwt.Data, c.outCPerGroup, c.kernelElems)
-			}
-		}
-		tensor.MatMulBatchATBInto(dcolsVs, wgs, gms)
-	}
-	for g, c := range cs {
-		if grads[g].DT.Backing() == tensor.F32 {
-			dcolsd, dxd := tensor.Of[float32](c.dcols), tensor.Of[float32](c.dx)
-			parallelFor(ns[g], func(i int) { col2im(c, dcolsd, dxd, i) })
-		} else {
-			parallelFor(ns[g], func(i int) { col2im(c, c.dcols.Data, c.dx.Data, i) })
-		}
-	}
-	return dxs
-}
-
 // batchable reports whether the sequentials can step in lockstep at all:
 // every model must have the same layer count (grouped cohorts share a
 // models.Config, so this holds; the check keeps misuse safe).
@@ -247,27 +107,9 @@ func denseGroup(seqs []*Sequential, i int) []*Dense {
 	return ds
 }
 
-// convGroup returns the group's layers at index i when they are all
-// *Conv2D, nil otherwise. Probes the leader before allocating, as
-// denseGroup does.
-func convGroup(seqs []*Sequential, i int) []*Conv2D {
-	if _, ok := seqs[0].Layers[i].(*Conv2D); !ok {
-		return nil
-	}
-	cs := make([]*Conv2D, len(seqs))
-	for g, s := range seqs {
-		c, ok := s.Layers[i].(*Conv2D)
-		if !ok {
-			return nil
-		}
-		cs[g] = c
-	}
-	return cs
-}
-
 // SequentialForwardBatch advances a group of structurally identical
-// Sequentials through one forward pass in lockstep, batching the Dense and
-// Conv2D layers across the group and running every other layer per model.
+// Sequentials through one forward pass in lockstep, batching the Dense
+// layers across the group and running every other layer per model.
 // It is byte-identical to calling seqs[g].Forward(xs[g], train) one model at
 // a time.
 func SequentialForwardBatch(seqs []*Sequential, xs []*tensor.Tensor, train bool) []*tensor.Tensor {
@@ -284,8 +126,6 @@ func SequentialForwardBatch(seqs []*Sequential, xs []*tensor.Tensor, train bool)
 	for i := range seqs[0].Layers {
 		if ds := denseGroup(seqs, i); ds != nil {
 			cur = DenseForwardBatch(ds, cur, train)
-		} else if cs := convGroup(seqs, i); cs != nil {
-			cur = Conv2DForwardBatch(cs, cur, train)
 		} else {
 			for g, s := range seqs {
 				cur[g] = s.Layers[i].Forward(cur[g], train)
@@ -311,8 +151,6 @@ func SequentialBackwardBatch(seqs []*Sequential, grads []*tensor.Tensor) []*tens
 	for i := len(seqs[0].Layers) - 1; i >= 0; i-- {
 		if ds := denseGroup(seqs, i); ds != nil {
 			cur = DenseBackwardBatch(ds, cur)
-		} else if cs := convGroup(seqs, i); cs != nil {
-			cur = Conv2DBackwardBatch(cs, cur)
 		} else {
 			for g, s := range seqs {
 				cur[g] = s.Layers[i].Backward(cur[g])

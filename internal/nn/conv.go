@@ -3,21 +3,25 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/tensor"
 )
 
 // Conv2D is a 2-D convolution over [N, C, H, W] inputs with optional grouped
 // convolution (groups > 1 partitions input and output channels, as in
-// ShuffleNet). Weights are stored as [outC, (inC/groups)·kH·kW], and the
-// whole batch is lowered into one im2col matrix of shape
-// [groups·kernelElems, N·outH·outW] so the forward pass is a single GEMM per
-// group per batch rather than one tiny GEMM per sample.
+// ShuffleNet). Weights are stored as [outC, (inC/groups)·kH·kW].
 //
-// The layer keeps its im2col, GEMM and gradient workspaces across calls,
-// sized and typed to match the parameters' dtype; steady-state training
-// allocates nothing. See the package comment for the activation aliasing
-// contract.
+// The batch is lowered a cache-sized chunk of samples at a time (see
+// chunkSamples): each chunk unrolls into an im2col matrix of shape
+// [groups·kernelElems, chunk·outH·outW] and runs one GEMM per group, so the
+// GEMM operands stay cache resident at any batch size. Backward re-lowers
+// each chunk from the input retained by the training-mode Forward (the
+// retained-input contract in the package comment) instead of keeping a
+// batch-wide matrix. Chunk scratch is scoped to one call and shared through
+// convScratchPool, so the layer itself holds only its parameters and its
+// output and input-gradient activations; steady-state training allocates
+// nothing beyond the worker-pool dispatch closures.
 type Conv2D struct {
 	InC, OutC    int
 	KH, KW       int
@@ -26,29 +30,13 @@ type Conv2D struct {
 	W, B         *Param
 	inH, inW     int // set on Forward
 	outH, outW   int
-	batch        int
 	inCPerGroup  int
 	outCPerGroup int
 	kernelElems  int
 
-	// Reusable workspaces, sized on first use and whenever the input
-	// geometry changes. The backward-only workspaces (gmat, dcols, dx) are
-	// allocated lazily in Backward so evaluation-mode forwards never pay
-	// for them.
-	cols    *tensor.Tensor // [Groups·kernelElems, N·spatial] im2col matrix
-	gemmOut *tensor.Tensor // [outCPerGroup, N·spatial] per-group product
-	gmat    *tensor.Tensor // [OutC, N·spatial] gathered output gradient
-	dcols   *tensor.Tensor // [Groups·kernelElems, N·spatial] column gradient
-	dwt     *tensor.Tensor // [kernelElems, outCPerGroup] transposed dW product
-	dx      *tensor.Tensor
-	out     ring2
-	bwdOK   bool // backward workspaces match the current geometry
-
-	// Cached per-group views over the workspaces and weights, rebuilt only
-	// on geometry changes so the hot path creates no tensor headers.
-	wgV, dwV     []*tensor.Tensor
-	colsV, gmatV []*tensor.Tensor
-	dcolsV       []*tensor.Tensor
+	x   *tensor.Tensor // input of the last training-mode Forward; nil after an eval-mode Forward
+	dx  *tensor.Tensor
+	out ring2
 }
 
 // NewConv2D constructs a grouped convolution layer with He-normal weights.
@@ -75,72 +63,66 @@ func (c *Conv2D) OutputShape(h, w int) (int, int) {
 	return oh, ow
 }
 
-// ensureWorkspace (re)builds the batch workspaces and group views when the
-// input geometry (or the model dtype) changes; with a stable geometry it is
-// a cheap no-op.
-func (c *Conv2D) ensureWorkspace(n, h, w int) {
-	dt := c.W.Value.DT
-	oh, ow := c.OutputShape(h, w)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: Conv2D output %dx%d not positive for input %dx%d", oh, ow, h, w))
-	}
-	if n == c.batch && h == c.inH && w == c.inW && c.cols != nil && c.cols.DT == dt {
-		return
-	}
-	c.batch, c.inH, c.inW, c.outH, c.outW = n, h, w, oh, ow
-	c.bwdOK = false
-	ns := n * oh * ow
-	ke, sp := c.kernelElems, ns
-	c.cols = tensor.EnsureOf(dt, c.cols, c.Groups*ke, sp)
-	c.gemmOut = tensor.EnsureOf(dt, c.gemmOut, c.outCPerGroup, sp)
-	if len(c.wgV) != c.Groups {
-		c.wgV = make([]*tensor.Tensor, c.Groups)
-		c.dwV = make([]*tensor.Tensor, c.Groups)
-		c.colsV = make([]*tensor.Tensor, c.Groups)
-		c.gmatV = make([]*tensor.Tensor, c.Groups)
-		c.dcolsV = make([]*tensor.Tensor, c.Groups)
-	}
-	for g := 0; g < c.Groups; g++ {
-		wlo, whi := g*c.outCPerGroup*ke, (g+1)*c.outCPerGroup*ke
-		setView(&c.wgV[g], c.W.Value, wlo, whi, c.outCPerGroup, ke)
-		setView(&c.colsV[g], c.cols, g*ke*sp, (g+1)*ke*sp, ke, sp)
-	}
+// convChunkCols is the cache budget of one lowering chunk, in im2col
+// columns (output pixels). At the model zoo's widest layer (16 input
+// channels, 3×3) a chunk's im2col matrix is then ~330 KB of float64 and
+// stays L2 resident through its GEMM, where a batch-wide matrix at N=32
+// spills.
+const convChunkCols = 256
+
+// chunkSamples returns how many samples one lowering chunk holds:
+// ⌈convChunkCols/(outH·outW)⌉, at most n. It depends on the layer geometry
+// alone.
+func (c *Conv2D) chunkSamples(n int) int {
+	sp := c.outH * c.outW
+	return min((convChunkCols+sp-1)/sp, n)
 }
 
-// ensureBackwardWorkspace lazily sizes the gradient workspaces to the
-// geometry of the preceding Forward. Evaluation-only layers never build
-// them.
-func (c *Conv2D) ensureBackwardWorkspace() {
-	if c.bwdOK {
-		return
-	}
-	dt := c.W.Value.DT
-	ke := c.kernelElems
-	sp := c.batch * c.outH * c.outW
-	c.gmat = tensor.EnsureOf(dt, c.gmat, c.OutC, sp)
-	c.dcols = tensor.EnsureOf(dt, c.dcols, c.Groups*ke, sp)
-	c.dwt = tensor.EnsureOf(dt, c.dwt, ke, c.outCPerGroup)
-	for g := 0; g < c.Groups; g++ {
-		wlo, whi := g*c.outCPerGroup*ke, (g+1)*c.outCPerGroup*ke
-		setView(&c.dwV[g], c.W.Grad, wlo, whi, c.outCPerGroup, ke)
-		setView(&c.dcolsV[g], c.dcols, g*ke*sp, (g+1)*ke*sp, ke, sp)
-		setView(&c.gmatV[g], c.gmat, g*c.outCPerGroup*sp, (g+1)*c.outCPerGroup*sp, c.outCPerGroup, sp)
-	}
-	c.bwdOK = true
+// convScratch is one job's lowering scratch: a flat buffer holding the
+// chunk operands (im2col matrix, product, gathered gradient, column
+// gradient, dWᵀ) at offsets the job lays out, plus the view headers the
+// GEMMs run on. The buffer carries the backing dtype, so BF16 and F32
+// layers share it. The headers' shapes live in dims, so a fresh scratch
+// costs two allocations, itself and its buffer; that keeps the allocation
+// gates within budget under the race detector, where sync.Pool drops a
+// random quarter of returned items.
+type convScratch struct {
+	buf            tensor.Tensor
+	wv, av, bv, ov tensor.Tensor
+	dims           [4][2]int
 }
 
-// setView retargets a cached rank-2 view header at elements [lo,hi) of a
-// workspace tensor, allocating the header only once per group.
-func setView(vp **tensor.Tensor, src *tensor.Tensor, lo, hi, r, cols int) {
-	v := *vp
-	if v == nil {
-		v = &tensor.Tensor{}
-		*vp = v
+// convScratchPool lends scratch to Forward/Backward calls for their
+// duration only. Idle scratch belongs to no layer and the garbage collector
+// reclaims it, so models that are built, trained once and dropped (a lazy
+// fleet) carry no lowering workspace.
+var convScratchPool = sync.Pool{New: func() any {
+	s := new(convScratch)
+	s.wv.Shape, s.av.Shape = s.dims[0][:0], s.dims[1][:0]
+	s.bv.Shape, s.ov.Shape = s.dims[2][:0], s.dims[3][:0]
+	return s
+}}
+
+// reserve sizes the scratch buffer to n elements of dt's backing type and
+// returns it; the contents are unspecified.
+func (s *convScratch) reserve(dt tensor.DType, n int) *tensor.Tensor {
+	s.buf.DT = dt.Backing()
+	if s.buf.DT == tensor.F32 {
+		if cap(s.buf.F32) < n {
+			s.buf.F32 = make([]float32, n)
+		}
+		s.buf.F32 = s.buf.F32[:n]
+	} else {
+		if cap(s.buf.Data) < n {
+			s.buf.Data = make([]float64, n)
+		}
+		s.buf.Data = s.buf.Data[:n]
 	}
-	tensor.ViewInto(v, src, lo, hi, r, cols)
+	return &s.buf
 }
 
-// Forward computes the convolution for a batch [N, C, H, W].
+// Forward computes the convolution for a batch [N, C, H, W]. In training
+// mode the layer retains x for Backward; an eval-mode Forward releases it.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D.Forward input shape %v, want [N,%d,H,W]", x.Shape, c.InC))
@@ -149,39 +131,77 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Conv2D.Forward input dtype %v, model is %v (cast inputs at the model boundary)", x.DT, c.W.Value.DT))
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	c.ensureWorkspace(n, h, w)
-	out := c.out.next(x.DT, n, c.OutC, c.outH, c.outW)
+	oh, ow := c.OutputShape(h, w)
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("nn: Conv2D output %dx%d not positive for input %dx%d", oh, ow, h, w))
+	}
+	c.inH, c.inW, c.outH, c.outW = h, w, oh, ow
+	c.x = nil
+	if train {
+		c.x = x
+	}
+	out := c.out.next(x.DT, n, c.OutC, oh, ow)
 	if x.DT.Backing() == tensor.F32 {
-		convForward(c, tensor.Of[float32](x), tensor.Of[float32](out),
-			tensor.Of[float32](c.cols), tensor.Of[float32](c.gemmOut), tensor.Of[float32](c.B.Value), n)
+		convForward[float32](c, x, out, n)
 	} else {
-		convForward(c, x.Data, out.Data, c.cols.Data, c.gemmOut.Data, c.B.Value.Data, n)
+		convForward[float64](c, x, out, n)
 	}
 	return out
 }
 
-// convForward runs the dtype-generic forward: per-sample im2col lowering,
-// one GEMM per group, and the bias-fused scatter back to [N, C, H, W].
-func convForward[F tensor.Float](c *Conv2D, xd, outd, colsd, gemmOutd, bias []F, n int) {
-	parallelFor(n, func(i int) { im2col(c, xd, colsd, i) })
-	for g := 0; g < c.Groups; g++ {
-		tensor.MatMulInto(c.gemmOut, c.wgV[g], c.colsV[g])
-		convScatterGroup(c, outd, gemmOutd, bias, g, n)
-	}
+// convForward lowers and multiplies the batch chunk by chunk. Chunks are
+// independent, so contiguous runs of them spread across the worker pool,
+// each run on its own scratch.
+func convForward[F tensor.Float](c *Conv2D, x, out *tensor.Tensor, n int) {
+	cs := c.chunkSamples(n)
+	tensor.ParallelSharded((n+cs-1)/cs, tensor.Workers(), func(_, lo, hi int) {
+		s := convScratchPool.Get().(*convScratch)
+		for k := lo; k < hi; k++ {
+			convForwardChunk[F](c, s, x, out, k*cs, min((k+1)*cs, n))
+		}
+		convScratchPool.Put(s)
+	})
 }
 
-// convScatterGroup scatters one group's [outCPerGroup, N·spatial] GEMM
-// product back to the per-sample layout, fusing the bias add. Shared by the
-// standalone forward and the cross-client batched forward.
-func convScatterGroup[F tensor.Float](c *Conv2D, outd, gemmOutd, bias []F, g, n int) {
-	spatial := c.outH * c.outW
-	for oc := 0; oc < c.outCPerGroup; oc++ {
-		ch := g*c.outCPerGroup + oc
-		b := bias[ch]
-		src := gemmOutd[oc*n*spatial : (oc+1)*n*spatial]
-		for i := 0; i < n; i++ {
-			tensor.AddScalarInto(outd[(i*c.OutC+ch)*spatial:(i*c.OutC+ch+1)*spatial],
-				src[i*spatial:(i+1)*spatial], b)
+// convForwardChunk computes the outputs of samples [i0,i1): im2col into the
+// scratch, then per group one GEMM and the bias add. A one-sample
+// chunk's per-group product is a contiguous [outCPerGroup, spatial] block of
+// the NCHW output, so the GEMM writes it in place; wider chunks scatter
+// from a product buffer. Either way each output is its GEMM dot product plus
+// the bias, rounded in that order.
+func convForwardChunk[F tensor.Float](c *Conv2D, s *convScratch, x, out *tensor.Tensor, i0, i1 int) {
+	sp := c.outH * c.outW
+	m := (i1 - i0) * sp
+	ke, ocg := c.kernelElems, c.outCPerGroup
+	colsN := c.Groups * ke * m
+	buf := s.reserve(x.DT, colsN+ocg*m) // cols, then the product
+	xd, bd := tensor.Of[F](x), tensor.Of[F](buf)
+	for i := i0; i < i1; i++ {
+		im2col(c, xd, bd, i, i-i0, m)
+	}
+	outd, bias := tensor.Of[F](out), tensor.Of[F](c.B.Value)
+	for g := 0; g < c.Groups; g++ {
+		tensor.ViewInto(&s.wv, c.W.Value, g*ocg*ke, (g+1)*ocg*ke, ocg, ke)
+		tensor.ViewInto(&s.av, buf, g*ke*m, (g+1)*ke*m, ke, m)
+		if i1-i0 == 1 {
+			lo := (i0*c.OutC + g*ocg) * sp
+			tensor.ViewInto(&s.ov, out, lo, lo+ocg*sp, ocg, sp)
+			tensor.MatMulInto(&s.ov, &s.wv, &s.av)
+			for oc := 0; oc < ocg; oc++ {
+				plane := outd[lo+oc*sp : lo+(oc+1)*sp]
+				tensor.AddScalarInto(plane, plane, bias[g*ocg+oc])
+			}
+			continue
+		}
+		tensor.ViewInto(&s.ov, buf, colsN, colsN+ocg*m, ocg, m)
+		tensor.MatMulInto(&s.ov, &s.wv, &s.av)
+		pd := bd[colsN:]
+		for oc := 0; oc < ocg; oc++ {
+			ch := g*ocg + oc
+			for i := i0; i < i1; i++ {
+				src := pd[oc*m+(i-i0)*sp : oc*m+(i-i0+1)*sp]
+				tensor.AddScalarInto(outd[(i*c.OutC+ch)*sp:(i*c.OutC+ch+1)*sp], src, bias[ch])
+			}
 		}
 	}
 }
@@ -193,66 +213,139 @@ func (c *Conv2D) convInitsDX() bool {
 	return c.Stride == 1 && c.outW == c.inW && c.outH == c.inH
 }
 
-// Backward accumulates dW, dB and returns dX. It reuses the im2col matrix
-// built by the preceding Forward call.
+// Backward accumulates dW, dB and returns dX. It re-lowers the input
+// retained by the preceding training-mode Forward, so it panics when there
+// is none (no training Forward yet, or an eval-mode Forward since).
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := grad.Dim(0)
-	if n != c.batch || grad.Dim(1) != c.OutC {
-		panic(fmt.Sprintf("nn: Conv2D.Backward grad shape %v does not match forward batch %d", grad.Shape, c.batch))
+	if c.x == nil {
+		panic("nn: Conv2D.Backward needs the input of a preceding training-mode Forward; " +
+			"none is retained (no Forward(x, true) yet, or a Forward(x, false) ran in between)")
 	}
-	c.ensureBackwardWorkspace()
+	n := c.x.Dim(0)
+	if grad.Rank() != 4 || grad.Dim(0) != n || grad.Dim(1) != c.OutC || grad.Dim(2) != c.outH || grad.Dim(3) != c.outW {
+		panic(fmt.Sprintf("nn: Conv2D.Backward grad shape %v does not match forward output [%d,%d,%d,%d]",
+			grad.Shape, n, c.OutC, c.outH, c.outW))
+	}
 	c.dx = tensor.EnsureOf(grad.DT, c.dx, n, c.InC, c.inH, c.inW)
 	if !c.convInitsDX() {
 		c.dx.Zero()
 	}
 	if grad.DT.Backing() == tensor.F32 {
-		convBackward(c, tensor.Of[float32](grad), tensor.Of[float32](c.gmat),
-			tensor.Of[float32](c.B.Grad), tensor.Of[float32](c.dcols), tensor.Of[float32](c.dx), n)
+		convBackward[float32](c, grad, n)
 	} else {
-		convBackward(c, grad.Data, c.gmat.Data, c.B.Grad.Data, c.dcols.Data, c.dx.Data, n)
+		convBackward[float64](c, grad, n)
 	}
 	return c.dx
 }
 
-// convBackward runs the dtype-generic backward: gradient gather to
-// channel-major, bias reduction, the two GEMMs per group, and the col2im
-// scatter back to the input gradient.
-func convBackward[F tensor.Float](c *Conv2D, gradd, gm, db, dcolsd, dxd []F, n int) {
-	convGatherGrad(c, gradd, gm, db, n)
-	for g := 0; g < c.Groups; g++ {
-		// dW_g += gmat_g · colsᵀ_g, computed as the transposed product
-		// dWᵀ_g = cols_g · gmatᵀ_g: the ABT kernel transpose-packs its
-		// second operand, and gmat_g (outCPerGroup rows) is an order of
-		// magnitude shorter than cols_g (kernelElems rows), so this form
-		// packs ~10× fewer elements and reuses each panel across every
-		// kernelElems output row. dW is zero on entry (grads are cleared
-		// each step), so scattering the transpose back is bit-identical
-		// to accumulating the direct product.
-		tensor.MatMulABTInto(c.dwt, c.colsV[g], c.gmatV[g])
-		addTransposed(tensor.Of[F](c.dwV[g]), tensor.Of[F](c.dwt), c.outCPerGroup, c.kernelElems)
-		// dcols_g = W_gᵀ · gmat_g
-		tensor.MatMulATBInto(c.dcolsV[g], c.wgV[g], c.gmatV[g])
-	}
-	parallelFor(n, func(i int) { col2im(c, dcolsd, dxd, i) })
+// convBackward splits the backward pass into two independent jobs that
+// share one pool dispatch: job 0 reduces the bias and weight gradients over
+// the chunks in order, and job k+1 computes chunk k's input gradient. The
+// weight-gradient chain is therefore the same at every worker count, and
+// the input-gradient chunks write disjoint samples of dx.
+func convBackward[F tensor.Float](c *Conv2D, grad *tensor.Tensor, n int) {
+	cs := c.chunkSamples(n)
+	tensor.Parallel(1+(n+cs-1)/cs, func(job int) {
+		s := convScratchPool.Get().(*convScratch)
+		if job == 0 {
+			convParamGrads[F](c, s, grad, n, cs)
+		} else {
+			k := job - 1
+			convInputGradChunk[F](c, s, grad, k*cs, min((k+1)*cs, n))
+		}
+		convScratchPool.Put(s)
+	})
 }
 
-// convGatherGrad gathers the output gradient into the [OutC, N·spatial]
-// channel-major layout — so the weight and column gradients are one GEMM per
-// group each — and folds the bias gradient reduction. Shared by the
-// standalone backward and the cross-client batched backward.
-func convGatherGrad[F tensor.Float](c *Conv2D, gradd, gm, db []F, n int) {
-	spatial := c.outH * c.outW
-	parallelFor(c.OutC, func(ch int) {
-		tensor.CopyRows(gm[ch*n*spatial:(ch+1)*n*spatial], gradd[ch*spatial:],
-			n, spatial, spatial, c.OutC*spatial)
-	})
-	for ch := 0; ch < c.OutC; ch++ {
-		seg := gm[ch*n*spatial : (ch+1)*n*spatial]
-		var s F
-		for _, v := range seg {
-			s += v
+// chunkGrad returns group g's [outCPerGroup, m] output gradient for samples
+// [i0,i1) as s.bv: a view straight into the NCHW gradient for a one-sample
+// chunk, otherwise a view of the chunk's channel-major gather into the
+// scratch buffer at offset gm0. Callers walk the groups of a chunk from
+// g = 0, which performs the gather.
+func chunkGrad[F tensor.Float](c *Conv2D, s *convScratch, grad *tensor.Tensor, i0, i1, g, gm0 int) *tensor.Tensor {
+	sp := c.outH * c.outW
+	m := (i1 - i0) * sp
+	ocg := c.outCPerGroup
+	if i1-i0 == 1 {
+		lo := (i0*c.OutC + g*ocg) * sp
+		tensor.ViewInto(&s.bv, grad, lo, lo+ocg*sp, ocg, m)
+		return &s.bv
+	}
+	if g == 0 {
+		gm, gd := tensor.Of[F](&s.buf)[gm0:], tensor.Of[F](grad)
+		for ch := 0; ch < c.OutC; ch++ {
+			tensor.CopyRows(gm[ch*m:], gd[(i0*c.OutC+ch)*sp:], i1-i0, sp, sp, c.OutC*sp)
 		}
-		db[ch] += s
+	}
+	tensor.ViewInto(&s.bv, &s.buf, gm0+g*ocg*m, gm0+(g+1)*ocg*m, ocg, m)
+	return &s.bv
+}
+
+// convParamGrads accumulates dB and dW. Each bias gradient sums its channel
+// in (sample, pixel) order. The weight gradient is computed transposed,
+// dWᵀ_g = Σ_chunks cols_g · gmatᵀ_g, with each chunk's product continuing
+// the previous chunk's accumulators (MatMulABTAcc), so every element is one
+// multiply-add chain over the whole batch in ascending order. The ABT
+// kernel transpose-packs its short second operand (outCPerGroup rows) and
+// reuses each panel across all kernelElems output rows. dW is zero on
+// entry (grads are cleared each step), so adding the transpose back is
+// bit-identical to accumulating the direct product.
+func convParamGrads[F tensor.Float](c *Conv2D, s *convScratch, grad *tensor.Tensor, n, cs int) {
+	sp := c.outH * c.outW
+	ke, ocg := c.kernelElems, c.outCPerGroup
+	gd, db := tensor.Of[F](grad), tensor.Of[F](c.B.Grad)
+	for ch := 0; ch < c.OutC; ch++ {
+		var sum F
+		for i := 0; i < n; i++ {
+			for _, v := range gd[(i*c.OutC+ch)*sp : (i*c.OutC+ch+1)*sp] {
+				sum += v
+			}
+		}
+		db[ch] += sum
+	}
+	// Scratch layout: dWᵀ, then the chunk's cols, then its gathered gradient.
+	dwtN, colsMax := c.Groups*ke*ocg, c.Groups*ke*cs*sp
+	buf := s.reserve(grad.DT, dwtN+colsMax+c.OutC*cs*sp)
+	xd, bd := tensor.Of[F](c.x), tensor.Of[F](buf)
+	for i0 := 0; i0 < n; i0 += cs {
+		i1 := min(i0+cs, n)
+		m := (i1 - i0) * sp
+		for i := i0; i < i1; i++ {
+			im2col(c, xd, bd[dwtN:], i, i-i0, m)
+		}
+		for g := 0; g < c.Groups; g++ {
+			gm := chunkGrad[F](c, s, grad, i0, i1, g, dwtN+colsMax)
+			tensor.ViewInto(&s.av, buf, dwtN+g*ke*m, dwtN+(g+1)*ke*m, ke, m)
+			tensor.ViewInto(&s.ov, buf, g*ke*ocg, (g+1)*ke*ocg, ke, ocg)
+			if i0 == 0 {
+				tensor.MatMulABTInto(&s.ov, &s.av, gm)
+			} else {
+				tensor.MatMulABTAcc(&s.ov, &s.av, gm)
+			}
+		}
+	}
+	dw := tensor.Of[F](c.W.Grad)
+	for g := 0; g < c.Groups; g++ {
+		addTransposed(dw[g*ocg*ke:(g+1)*ocg*ke], bd[g*ke*ocg:(g+1)*ke*ocg], ocg, ke)
+	}
+}
+
+// convInputGradChunk computes dX for samples [i0,i1): per group
+// dcols_g = W_gᵀ · gmat_g into the scratch, then col2im per sample.
+func convInputGradChunk[F tensor.Float](c *Conv2D, s *convScratch, grad *tensor.Tensor, i0, i1 int) {
+	m := (i1 - i0) * c.outH * c.outW
+	ke, ocg := c.kernelElems, c.outCPerGroup
+	dcolsN := c.Groups * ke * m
+	buf := s.reserve(grad.DT, dcolsN+c.OutC*m) // dcols, then the gathered gradient
+	for g := 0; g < c.Groups; g++ {
+		gm := chunkGrad[F](c, s, grad, i0, i1, g, dcolsN)
+		tensor.ViewInto(&s.wv, c.W.Value, g*ocg*ke, (g+1)*ocg*ke, ocg, ke)
+		tensor.ViewInto(&s.av, buf, g*ke*m, (g+1)*ke*m, ke, m)
+		tensor.MatMulATBInto(&s.av, &s.wv, gm)
+	}
+	dcolsd, dxd := tensor.Of[F](buf), tensor.Of[F](c.dx)
+	for i := i0; i < i1; i++ {
+		col2im(c, dcolsd, dxd, i, i-i0, m)
 	}
 }
 
@@ -271,16 +364,15 @@ func addTransposed[F tensor.Float](dst, src []F, m, n int) {
 // Params returns the kernel and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// im2col unrolls sample i of x into its column block of the batch im2col
-// matrix: cols[row, i·spatial + p] holds the receptive-field element `row`
-// of output pixel p. Every position is written, so the workspace needs no
-// zeroing between batches. For stride 1 (every convolution in the model
-// zoo) each output row is zero-pad, one contiguous copy, zero-pad — a
-// memmove instead of a bounds check per pixel, which matters twice over on
-// the float32 path where the same move touches half the bytes.
-func im2col[F tensor.Float](c *Conv2D, xd, colsd []F, i int) {
+// im2col unrolls sample i of x into column block j of a chunk's im2col
+// matrix with ld columns: cols[row, j·spatial + p] holds the receptive-field
+// element `row` of output pixel p. Every position is written, so the
+// scratch needs no zeroing between chunks. For stride 1 (every convolution
+// in the model zoo) each output row is zero-pad, one contiguous copy,
+// zero-pad — a memmove instead of a bounds check per pixel, which matters
+// twice over on the float32 path where the same move touches half the bytes.
+func im2col[F tensor.Float](c *Conv2D, xd, colsd []F, i, j, ld int) {
 	spatial := c.outH * c.outW
-	ns := c.batch * spatial
 	chanSize := c.inH * c.inW
 	base := i * c.InC * chanSize
 	for ch := 0; ch < c.InC; ch++ {
@@ -291,7 +383,7 @@ func im2col[F tensor.Float](c *Conv2D, xd, colsd []F, i int) {
 			ihOff := kh - c.Pad
 			for kw := 0; kw < c.KW; kw++ {
 				rowIdx := g*c.kernelElems + (chInG*c.KH+kh)*c.KW + kw
-				dst := colsd[rowIdx*ns+i*spatial : rowIdx*ns+(i+1)*spatial]
+				dst := colsd[rowIdx*ld+j*spatial : rowIdx*ld+(j+1)*spatial]
 				if c.Stride == 1 {
 					off := kw - c.Pad
 					if ihOff == 0 && off == 0 && c.outW == c.inW && c.outH == c.inH {
@@ -438,15 +530,15 @@ func zeroCols[F tensor.Float](plane []F, w, lo, hi int) {
 	}
 }
 
-// col2im scatters sample i's column block of the gradient matrix back into
-// dx, accumulating where receptive fields overlap. Stride-1 rows accumulate
-// over one contiguous span with no per-pixel bounds checks. In the same-size
-// geometry the first tap initializes each channel plane (copy plus edge
-// clears), so callers skip zeroing dx beforehand; every other geometry
-// accumulates into a caller-zeroed dx (see convInitsDX).
-func col2im[F tensor.Float](c *Conv2D, dcolsd, dxd []F, i int) {
+// col2im scatters column block j of a chunk's ld-column gradient matrix
+// back into sample i of dx, accumulating where receptive fields overlap.
+// Stride-1 rows accumulate over one contiguous span with no per-pixel
+// bounds checks. In the same-size geometry the first tap initializes each
+// channel plane (copy plus edge clears), so callers skip zeroing dx
+// beforehand; every other geometry accumulates into a caller-zeroed dx (see
+// convInitsDX).
+func col2im[F tensor.Float](c *Conv2D, dcolsd, dxd []F, i, j, ld int) {
 	spatial := c.outH * c.outW
-	ns := c.batch * spatial
 	chanSize := c.inH * c.inW
 	base := i * c.InC * chanSize
 	fast := c.convInitsDX()
@@ -459,7 +551,7 @@ func col2im[F tensor.Float](c *Conv2D, dcolsd, dxd []F, i int) {
 			ihOff := kh - c.Pad
 			for kw := 0; kw < c.KW; kw++ {
 				rowIdx := g*c.kernelElems + (chInG*c.KH+kh)*c.KW + kw
-				src := dcolsd[rowIdx*ns+i*spatial : rowIdx*ns+(i+1)*spatial]
+				src := dcolsd[rowIdx*ld+j*spatial : rowIdx*ld+(j+1)*spatial]
 				if c.Stride == 1 {
 					off := kw - c.Pad
 					if ihOff == 0 && off == 0 && c.outW == c.inW && c.outH == c.inH {

@@ -15,6 +15,16 @@
 // stays valid until the same layer's corresponding method runs twice more;
 // callers that retain activations longer (for example to compare outputs
 // across several passes) must Clone them.
+//
+// Retained-input contract: Dense and Conv2D keep a reference to the input
+// of their last training-mode Forward, not a copy, and Backward reads it
+// (Conv2D re-lowers it chunk by chunk instead of keeping a batch-wide
+// im2col matrix). That input must therefore stay unmodified until the
+// matching Backward returns; callers that pool their input batches return
+// them to the pool only after the extractor's Backward (see the FedClassAvg
+// training step in internal/core). An eval-mode Forward drops Conv2D's
+// reference, so a Backward without a training-mode Forward since then
+// panics instead of differentiating the wrong input.
 package nn
 
 import (

@@ -7,10 +7,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func fmaMicro4x8(c *float64, ldc int, a *float64, aRow, aStep int, bp *float64, pk int, load int)
+func fmaMicro4x8(c *float64, ldc int, a *float64, aRow, aStep int, bp *float64, bStep, pk int, load int)
 
 //go:noescape
-func fmaMicro8x8f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, pk int, load int)
+func fmaMicro8x8f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, bStep, pk int, load int)
 
 // useFMA reports whether the AVX2+FMA micro-kernels may be used: the CPU
 // must expose AVX, AVX2, FMA3 and OSXSAVE, and the OS must have enabled
@@ -50,10 +50,12 @@ func b2i(b bool) int {
 }
 
 // fmaRowTail handles the leftover rows of a tile sweep in Go, streaming the
-// same 8-wide packed panel. c is the jw-element output row; a[t·aStep] walks
-// the reduction dimension. Generic: the float64 instantiation is the
-// historical kernel bit for bit; float32 serves the 8×8 kernel's tails.
-func fmaRowTail[F Float](c []F, jw int, a []F, aStep, pk int, bp []F, load bool) {
+// same 8 B columns as the tile kernels: B row t is bp[t·bStride:][:8] (the
+// packed panel, bStride = fmaNR, or B itself read in place). c is the
+// jw-element output row; a[t·aStep] walks the reduction dimension. Generic:
+// the float64 instantiation is the historical kernel bit for bit; float32
+// serves the 8×8 kernel's tails.
+func fmaRowTail[F Float](c []F, jw int, a []F, aStep, pk int, bp []F, bStride int, load bool) {
 	var c0, c1, c2, c3, c4, c5, c6, c7 F
 	if load {
 		c0 = c[0]
@@ -81,7 +83,7 @@ func fmaRowTail[F Float](c []F, jw int, a []F, aStep, pk int, bp []F, load bool)
 	}
 	for t := 0; t < pk; t++ {
 		av := a[t*aStep]
-		bq := bp[fmaNR*t : fmaNR*t+fmaNR : fmaNR*t+fmaNR]
+		bq := bp[bStride*t : bStride*t+fmaNR : bStride*t+fmaNR]
 		c0 += av * bq[0]
 		c1 += av * bq[1]
 		c2 += av * bq[2]
@@ -124,7 +126,7 @@ func fmaPartialTile(out []float64, base, n, jw int, aPtr *float64, aRowB, aStepB
 			copy(cbuf[r*fmaNR:r*fmaNR+jw], out[base+r*n:base+r*n+jw])
 		}
 	}
-	fmaMicro4x8(&cbuf[0], fmaNR*8, aPtr, aRowB, aStepB, bp, pk, b2i(load))
+	fmaMicro4x8(&cbuf[0], fmaNR*8, aPtr, aRowB, aStepB, bp, fmaNR*8, pk, b2i(load))
 	for r := 0; r < 4; r++ {
 		copy(out[base+r*n:base+r*n+jw], cbuf[r*fmaNR:r*fmaNR+jw])
 	}
@@ -139,7 +141,7 @@ func fmaPartialTile32(out []float32, base, n, jw int, aPtr *float32, aRowB, aSte
 			copy(cbuf[r*fmaNR:r*fmaNR+jw], out[base+r*n:base+r*n+jw])
 		}
 	}
-	fmaMicro8x8f32(&cbuf[0], fmaNR*4, aPtr, aRowB, aStepB, bp, pk, b2i(load))
+	fmaMicro8x8f32(&cbuf[0], fmaNR*4, aPtr, aRowB, aStepB, bp, fmaNR*4, pk, b2i(load))
 	for r := 0; r < 8; r++ {
 		copy(out[base+r*n:base+r*n+jw], cbuf[r*fmaNR:r*fmaNR+jw])
 	}
@@ -154,7 +156,7 @@ func fmaPartialTile4x32(out []float32, base, n, jw int, aPtr *float32, aRowB, aS
 			copy(cbuf[r*fmaNR:r*fmaNR+jw], out[base+r*n:base+r*n+jw])
 		}
 	}
-	fmaMicro4x8f32(&cbuf[0], fmaNR*4, aPtr, aRowB, aStepB, bp, pk, b2i(load))
+	fmaMicro4x8f32(&cbuf[0], fmaNR*4, aPtr, aRowB, aStepB, bp, fmaNR*4, pk, b2i(load))
 	for r := 0; r < 4; r++ {
 		copy(out[base+r*n:base+r*n+jw], cbuf[r*fmaNR:r*fmaNR+jw])
 	}
@@ -197,11 +199,27 @@ func packPanelCols[F Float](panel, src []F, j0, ld, p0, jw, pk int) {
 	}
 }
 
+// packFreeTiles is inPlaceB's threshold in register tiles; a variable only
+// so the differential tests can force packing.
+var packFreeTiles = 2
+
+// inPlaceB reports whether an A·B shard of the given row count reads B in
+// place instead of packing it. Packing pays off only when several register
+// tiles of A rows (tileRows each) stream through a panel; a shard of at most
+// packFreeTiles tiles — a convolution's outC of 8 or 16 — would read each
+// panel once or twice, so packing would cost a full extra pass over B. Only
+// full-width column tiles read in place: the kernels read whole tiles, and
+// a partial tile's zero-padded panel keeps them inside the buffer. Both
+// forms feed the kernels the same values in the same order, so results are
+// bit-identical.
+func inPlaceB(rows, tileRows int) bool { return rows <= packFreeTiles*tileRows }
+
 // gemmNNRangeFMA computes rows [lo,hi) of out = a·b with the f64 AVX2
 // kernel.
 func gemmNNRangeFMA(out, a, b []float64, k, n, lo, hi int, acc bool) {
 	pp := getPanel[float64]()
 	panel := (*pp)[:gemmKC*fmaNR]
+	direct := inPlaceB(hi-lo, 4)
 	for pc := 0; pc < k; pc += gemmKC {
 		pk := k - pc
 		if pk > gemmKC {
@@ -213,18 +231,23 @@ func gemmNNRangeFMA(out, a, b []float64, k, n, lo, hi int, acc bool) {
 			if jw > fmaNR {
 				jw = fmaNR
 			}
-			packPanelRows(panel, b, pc, n, j0, jw, pk)
-			bp := &panel[0]
+			bsrc, bs := panel, fmaNR
+			if direct && jw == fmaNR {
+				bsrc, bs = b[pc*n+j0:], n
+			} else {
+				packPanelRows(panel, b, pc, n, j0, jw, pk)
+			}
+			bp := &bsrc[0]
 			i := lo
 			for ; i+4 <= hi; i += 4 {
 				if jw == fmaNR {
-					fmaMicro4x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, pk, b2i(load))
+					fmaMicro4x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, bs*8, pk, b2i(load))
 				} else {
 					fmaPartialTile(out, i*n+j0, n, jw, &a[i*k+pc], k*8, 8, bp, pk, load)
 				}
 			}
 			for ; i < hi; i++ {
-				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, load)
+				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, bsrc, bs, load)
 			}
 		}
 	}
@@ -237,6 +260,7 @@ func gemmNNRangeFMA(out, a, b []float64, k, n, lo, hi int, acc bool) {
 func gemmNNRangeFMA32(out, a, b []float32, k, n, lo, hi int, acc bool) {
 	pp := getPanel[float32]()
 	panel := (*pp)[:gemmKC*fmaNR]
+	direct := inPlaceB(hi-lo, 8)
 	for pc := 0; pc < k; pc += gemmKC {
 		pk := k - pc
 		if pk > gemmKC {
@@ -248,25 +272,30 @@ func gemmNNRangeFMA32(out, a, b []float32, k, n, lo, hi int, acc bool) {
 			if jw > fmaNR {
 				jw = fmaNR
 			}
-			packPanelRows(panel, b, pc, n, j0, jw, pk)
-			bp := &panel[0]
+			bsrc, bs := panel, fmaNR
+			if direct && jw == fmaNR {
+				bsrc, bs = b[pc*n+j0:], n
+			} else {
+				packPanelRows(panel, b, pc, n, j0, jw, pk)
+			}
+			bp := &bsrc[0]
 			i := lo
 			for ; i+8 <= hi; i += 8 {
 				if jw == fmaNR {
-					fmaMicro8x8f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, pk, b2i(load))
+					fmaMicro8x8f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, bs*4, pk, b2i(load))
 				} else {
 					fmaPartialTile32(out, i*n+j0, n, jw, &a[i*k+pc], k*4, 4, bp, pk, load)
 				}
 			}
 			for ; i+4 <= hi; i += 4 {
 				if jw == fmaNR {
-					fmaMicro4x8f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, pk, b2i(load))
+					fmaMicro4x8f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, bs*4, pk, b2i(load))
 				} else {
 					fmaPartialTile4x32(out, i*n+j0, n, jw, &a[i*k+pc], k*4, 4, bp, pk, load)
 				}
 			}
 			for ; i < hi; i++ {
-				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, load)
+				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, bsrc, bs, load)
 			}
 		}
 	}
@@ -295,13 +324,13 @@ func gemmATRangeFMA(out, a, b []float64, m, k, n, plo, phi int, acc bool) {
 			p := plo
 			for ; p+4 <= phi; p += 4 {
 				if jw == fmaNR {
-					fmaMicro4x8(&out[p*n+j0], n*8, &a[ic*k+p], 8, k*8, bp, mk, b2i(load))
+					fmaMicro4x8(&out[p*n+j0], n*8, &a[ic*k+p], 8, k*8, bp, fmaNR*8, mk, b2i(load))
 				} else {
 					fmaPartialTile(out, p*n+j0, n, jw, &a[ic*k+p], 8, k*8, bp, mk, load)
 				}
 			}
 			for ; p < phi; p++ {
-				fmaRowTail(out[p*n+j0:p*n+j0+jw], jw, a[ic*k+p:], k, mk, panel, load)
+				fmaRowTail(out[p*n+j0:p*n+j0+jw], jw, a[ic*k+p:], k, mk, panel, fmaNR, load)
 			}
 		}
 	}
@@ -329,20 +358,20 @@ func gemmATRangeFMA32(out, a, b []float32, m, k, n, plo, phi int, acc bool) {
 			p := plo
 			for ; p+8 <= phi; p += 8 {
 				if jw == fmaNR {
-					fmaMicro8x8f32(&out[p*n+j0], n*4, &a[ic*k+p], 4, k*4, bp, mk, b2i(load))
+					fmaMicro8x8f32(&out[p*n+j0], n*4, &a[ic*k+p], 4, k*4, bp, fmaNR*4, mk, b2i(load))
 				} else {
 					fmaPartialTile32(out, p*n+j0, n, jw, &a[ic*k+p], 4, k*4, bp, mk, load)
 				}
 			}
 			for ; p+4 <= phi; p += 4 {
 				if jw == fmaNR {
-					fmaMicro4x8f32(&out[p*n+j0], n*4, &a[ic*k+p], 4, k*4, bp, mk, b2i(load))
+					fmaMicro4x8f32(&out[p*n+j0], n*4, &a[ic*k+p], 4, k*4, bp, fmaNR*4, mk, b2i(load))
 				} else {
 					fmaPartialTile4x32(out, p*n+j0, n, jw, &a[ic*k+p], 4, k*4, bp, mk, load)
 				}
 			}
 			for ; p < phi; p++ {
-				fmaRowTail(out[p*n+j0:p*n+j0+jw], jw, a[ic*k+p:], k, mk, panel, load)
+				fmaRowTail(out[p*n+j0:p*n+j0+jw], jw, a[ic*k+p:], k, mk, panel, fmaNR, load)
 			}
 		}
 	}
@@ -370,13 +399,13 @@ func gemmABTRangeFMA(out, a, b []float64, k, n, ilo, ihi int, acc bool) {
 			i := ilo
 			for ; i+4 <= ihi; i += 4 {
 				if jw == fmaNR {
-					fmaMicro4x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, pk, b2i(load))
+					fmaMicro4x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, fmaNR*8, pk, b2i(load))
 				} else {
 					fmaPartialTile(out, i*n+j0, n, jw, &a[i*k+pc], k*8, 8, bp, pk, load)
 				}
 			}
 			for ; i < ihi; i++ {
-				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, load)
+				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, fmaNR, load)
 			}
 		}
 	}
@@ -424,20 +453,20 @@ func gemmABTRangeFMA32(out, a, b []float32, k, n, ilo, ihi int, acc bool) {
 			i := ilo
 			for ; i+8 <= ihi; i += 8 {
 				if jw == fmaNR {
-					fmaMicro8x8f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, pk, b2i(load))
+					fmaMicro8x8f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, fmaNR*4, pk, b2i(load))
 				} else {
 					fmaPartialTile32(out, i*n+j0, n, jw, &a[i*k+pc], k*4, 4, bp, pk, load)
 				}
 			}
 			for ; i+4 <= ihi; i += 4 {
 				if jw == fmaNR {
-					fmaMicro4x8f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, pk, b2i(load))
+					fmaMicro4x8f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, fmaNR*4, pk, b2i(load))
 				} else {
 					fmaPartialTile4x32(out, i*n+j0, n, jw, &a[i*k+pc], k*4, 4, bp, pk, load)
 				}
 			}
 			for ; i < ihi; i++ {
-				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, load)
+				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, fmaNR, load)
 			}
 		}
 	}

@@ -2,6 +2,10 @@
 // a 4×8 float64 tile and an 8×8 float32 tile (double the lane count at
 // half the element width). Only assembled on amd64; callers gate on the
 // useFMA/useFMA32 runtime checks.
+//
+// Every micro-kernel's reduction loop starts on a 32-byte boundary
+// (PCALIGN), here and in gemm_avx512_amd64.s and vec_amd64.s, so its speed
+// does not depend on where an edit elsewhere in the file shifts it.
 
 #include "textflag.h"
 
@@ -24,25 +28,27 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func fmaMicro4x8(c *float64, ldc int, a *float64, aRow, aStep int, bp *float64, pk int, load int)
+// func fmaMicro4x8(c *float64, ldc int, a *float64, aRow, aStep int, bp *float64, bStep, pk int, load int)
 //
 // Computes a 4×8 register tile C[r, 0:8] (+)= Σ_t A[r, t]·B[t, 0:8] where
 // the four logical A rows start at a, a+aRow, a+2·aRow, a+3·aRow and advance
-// by aStep per reduction step, and B is an 8-wide packed panel of pk rows.
-// All strides are in bytes. load != 0 seeds the accumulators from C
-// (accumulate); load == 0 overwrites. pk must be >= 1.
+// by aStep per reduction step. B row t (8 values) starts at bp + t·bStep:
+// an 8-wide packed panel (bStep = 64) or B read in place (bStep = its row
+// pitch). All strides are in bytes. load != 0 seeds the accumulators from
+// C (accumulate); load == 0 overwrites. pk must be >= 1.
 //
 // The stride pair makes the same kernel serve A·B (aRow = k·8, aStep = 8),
 // Aᵀ·B (aRow = 8, aStep = k·8) and A·Bᵀ with a transpose-packed panel.
-TEXT ·fmaMicro4x8(SB), NOSPLIT, $0-64
+TEXT ·fmaMicro4x8(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), CX
 	MOVQ a+16(FP), SI
 	MOVQ aRow+24(FP), R8
 	MOVQ aStep+32(FP), R9
 	MOVQ bp+40(FP), BX
-	MOVQ pk+48(FP), DX
-	MOVQ load+56(FP), AX
+	MOVQ bStep+48(FP), R14
+	MOVQ pk+56(FP), DX
+	MOVQ load+64(FP), AX
 
 	LEAQ (R8)(R8*2), R13 // 3·aRow
 	LEAQ (DI)(CX*1), R10 // C row 1
@@ -69,6 +75,7 @@ TEXT ·fmaMicro4x8(SB), NOSPLIT, $0-64
 	VMOVUPD (R12), Y6
 	VMOVUPD 32(R12), Y7
 
+	PCALIGN $32
 loop:
 	VMOVUPD      (BX), Y8
 	VMOVUPD      32(BX), Y9
@@ -84,7 +91,7 @@ loop:
 	VFMADD231PD  Y9, Y12, Y5
 	VFMADD231PD  Y8, Y13, Y6
 	VFMADD231PD  Y9, Y13, Y7
-	ADDQ         $64, BX
+	ADDQ         R14, BX
 	ADDQ         R9, SI
 	DECQ         DX
 	JNZ          loop
@@ -100,28 +107,29 @@ loop:
 	VZEROUPPER
 	RET
 
-// func fmaMicro8x8f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, pk int, load int)
+// func fmaMicro8x8f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, bStep, pk int, load int)
 //
 // Computes an 8×8 register tile C[r, 0:8] (+)= Σ_t A[r, t]·B[t, 0:8] where
 // the eight logical A rows start at a + r·aRow and advance by aStep per
-// reduction step, and B is an 8-wide packed panel of pk float32 rows (one
-// 8-lane YMM vector per reduction step). All strides are in bytes. load != 0
-// seeds the accumulators from C (accumulate); load == 0 overwrites. pk must
-// be >= 1.
+// reduction step. B row t (one 8-lane YMM vector) starts at bp + t·bStep:
+// an 8-wide packed panel (bStep = 32) or B read in place (bStep = its row
+// pitch). All strides are in bytes. load != 0 seeds the accumulators from C
+// (accumulate); load == 0 overwrites. pk must be >= 1.
 //
 // The stride pair makes the same kernel serve A·B (aRow = k·4, aStep = 4),
 // Aᵀ·B (aRow = 4, aStep = k·4) and A·Bᵀ with a transpose-packed panel.
 // Rows 0-3 broadcast from SI, rows 4-7 from R10 = SI + 4·aRow; both
 // pointers advance by aStep per step.
-TEXT ·fmaMicro8x8f32(SB), NOSPLIT, $0-64
+TEXT ·fmaMicro8x8f32(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), CX
 	MOVQ a+16(FP), SI
 	MOVQ aRow+24(FP), R8
 	MOVQ aStep+32(FP), R9
 	MOVQ bp+40(FP), BX
-	MOVQ pk+48(FP), DX
-	MOVQ load+56(FP), AX
+	MOVQ bStep+48(FP), R14
+	MOVQ pk+56(FP), DX
+	MOVQ load+64(FP), AX
 
 	LEAQ (R8)(R8*2), R13 // 3·aRow
 	LEAQ (SI)(R8*4), R10 // A row 4
@@ -154,6 +162,7 @@ TEXT ·fmaMicro8x8f32(SB), NOSPLIT, $0-64
 	ADDQ    CX, R11
 	VMOVUPS (R11), Y7
 
+	PCALIGN $32
 loop32:
 	VMOVUPS      (BX), Y8
 	VBROADCASTSS (SI), Y9
@@ -172,7 +181,7 @@ loop32:
 	VFMADD231PS  Y8, Y10, Y5
 	VFMADD231PS  Y8, Y11, Y6
 	VFMADD231PS  Y8, Y12, Y7
-	ADDQ         $32, BX
+	ADDQ         R14, BX
 	ADDQ         R9, SI
 	ADDQ         R9, R10
 	DECQ         DX

@@ -7,13 +7,13 @@ import "unsafe"
 // Implemented in gemm_avx512_amd64.s.
 
 //go:noescape
-func avx512Micro8x8(c *float64, ldc int, a *float64, aRow, aStep int, bp *float64, pk int, load int)
+func avx512Micro8x8(c *float64, ldc int, a *float64, aRow, aStep int, bp *float64, bStep, pk int, load int)
 
 //go:noescape
-func avx512Micro8x16f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, pk int, load int)
+func avx512Micro8x16f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, bStep, pk int, load int)
 
 //go:noescape
-func avx512Micro4x16f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, pk int, load int)
+func avx512Micro4x16f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, bStep, pk int, load int)
 
 //go:noescape
 func maxPool2x2f32(x, out *float32, am *int64, outH, outW, w int, base int64)
@@ -65,17 +65,18 @@ func CPUFeatures() []string {
 }
 
 // avx512RowTail handles the leftover rows of a 16-wide tile sweep in Go,
-// streaming the packed panel with plain mul+add per element — the same
-// per-element chain as fmaRowTail, so tail rows stay bit-identical between
-// the AVX2 and AVX-512 tiers regardless of panel width.
-func avx512RowTail(c []float32, jw int, a []float32, aStep, pk int, bp []float32, load bool) {
+// streaming B row t from bp[t·bStride:][:16] (the packed panel or B in
+// place) with plain mul+add per element — the same per-element chain as
+// fmaRowTail, so tail rows stay bit-identical between the AVX2 and AVX-512
+// tiers regardless of panel width.
+func avx512RowTail(c []float32, jw int, a []float32, aStep, pk int, bp []float32, bStride int, load bool) {
 	var acc [avx512NR]float32
 	if load {
 		copy(acc[:jw], c[:jw])
 	}
 	for t := 0; t < pk; t++ {
 		av := a[t*aStep]
-		bq := bp[avx512NR*t : avx512NR*t+avx512NR : avx512NR*t+avx512NR]
+		bq := bp[bStride*t : bStride*t+avx512NR : bStride*t+avx512NR]
 		for j := 0; j < avx512NR; j++ {
 			acc[j] += av * bq[j]
 		}
@@ -92,7 +93,7 @@ func avx512PartialTile64(out []float64, base, n, jw int, aPtr *float64, aRowB, a
 			copy(cbuf[r*fmaNR:r*fmaNR+jw], out[base+r*n:base+r*n+jw])
 		}
 	}
-	avx512Micro8x8(&cbuf[0], fmaNR*8, aPtr, aRowB, aStepB, bp, pk, b2i(load))
+	avx512Micro8x8(&cbuf[0], fmaNR*8, aPtr, aRowB, aStepB, bp, fmaNR*8, pk, b2i(load))
 	for r := 0; r < 8; r++ {
 		copy(out[base+r*n:base+r*n+jw], cbuf[r*fmaNR:r*fmaNR+jw])
 	}
@@ -107,7 +108,7 @@ func avx512PartialTile32(out []float32, base, n, jw int, aPtr *float32, aRowB, a
 			copy(cbuf[r*avx512NR:r*avx512NR+jw], out[base+r*n:base+r*n+jw])
 		}
 	}
-	avx512Micro8x16f32(&cbuf[0], avx512NR*4, aPtr, aRowB, aStepB, bp, pk, b2i(load))
+	avx512Micro8x16f32(&cbuf[0], avx512NR*4, aPtr, aRowB, aStepB, bp, avx512NR*4, pk, b2i(load))
 	for r := 0; r < 8; r++ {
 		copy(out[base+r*n:base+r*n+jw], cbuf[r*avx512NR:r*avx512NR+jw])
 	}
@@ -121,7 +122,7 @@ func avx512PartialTile4x32(out []float32, base, n, jw int, aPtr *float32, aRowB,
 			copy(cbuf[r*avx512NR:r*avx512NR+jw], out[base+r*n:base+r*n+jw])
 		}
 	}
-	avx512Micro4x16f32(&cbuf[0], avx512NR*4, aPtr, aRowB, aStepB, bp, pk, b2i(load))
+	avx512Micro4x16f32(&cbuf[0], avx512NR*4, aPtr, aRowB, aStepB, bp, avx512NR*4, pk, b2i(load))
 	for r := 0; r < 4; r++ {
 		copy(out[base+r*n:base+r*n+jw], cbuf[r*avx512NR:r*avx512NR+jw])
 	}
@@ -180,6 +181,7 @@ func packPanel16Cols(panel, src []float32, j0, ld, p0, jw, pk int) {
 func gemmNNRangeAVX512(out, a, b []float64, k, n, lo, hi int, acc bool) {
 	pp := getPanel[float64]()
 	panel := (*pp)[:gemmKC*fmaNR]
+	direct := inPlaceB(hi-lo, 8)
 	for pc := 0; pc < k; pc += gemmKC {
 		pk := k - pc
 		if pk > gemmKC {
@@ -191,25 +193,30 @@ func gemmNNRangeAVX512(out, a, b []float64, k, n, lo, hi int, acc bool) {
 			if jw > fmaNR {
 				jw = fmaNR
 			}
-			packPanelRows(panel, b, pc, n, j0, jw, pk)
-			bp := &panel[0]
+			bsrc, bs := panel, fmaNR
+			if direct && jw == fmaNR {
+				bsrc, bs = b[pc*n+j0:], n
+			} else {
+				packPanelRows(panel, b, pc, n, j0, jw, pk)
+			}
+			bp := &bsrc[0]
 			i := lo
 			for ; i+8 <= hi; i += 8 {
 				if jw == fmaNR {
-					avx512Micro8x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, pk, b2i(load))
+					avx512Micro8x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, bs*8, pk, b2i(load))
 				} else {
 					avx512PartialTile64(out, i*n+j0, n, jw, &a[i*k+pc], k*8, 8, bp, pk, load)
 				}
 			}
 			for ; i+4 <= hi; i += 4 {
 				if jw == fmaNR {
-					fmaMicro4x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, pk, b2i(load))
+					fmaMicro4x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, bs*8, pk, b2i(load))
 				} else {
 					fmaPartialTile(out, i*n+j0, n, jw, &a[i*k+pc], k*8, 8, bp, pk, load)
 				}
 			}
 			for ; i < hi; i++ {
-				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, load)
+				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, bsrc, bs, load)
 			}
 		}
 	}
@@ -221,6 +228,7 @@ func gemmNNRangeAVX512(out, a, b []float64, k, n, lo, hi int, acc bool) {
 func gemmNNRangeAVX51232(out, a, b []float32, k, n, lo, hi int, acc bool) {
 	pp := getPanel[float32]()
 	panel := (*pp)[:gemmKC*avx512NR]
+	direct := inPlaceB(hi-lo, 8)
 	for pc := 0; pc < k; pc += gemmKC {
 		pk := k - pc
 		if pk > gemmKC {
@@ -232,25 +240,30 @@ func gemmNNRangeAVX51232(out, a, b []float32, k, n, lo, hi int, acc bool) {
 			if jw > avx512NR {
 				jw = avx512NR
 			}
-			packPanel16Rows(panel, b, pc, n, j0, jw, pk)
-			bp := &panel[0]
+			bsrc, bs := panel, avx512NR
+			if direct && jw == avx512NR {
+				bsrc, bs = b[pc*n+j0:], n
+			} else {
+				packPanel16Rows(panel, b, pc, n, j0, jw, pk)
+			}
+			bp := &bsrc[0]
 			i := lo
 			for ; i+8 <= hi; i += 8 {
 				if jw == avx512NR {
-					avx512Micro8x16f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, pk, b2i(load))
+					avx512Micro8x16f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, bs*4, pk, b2i(load))
 				} else {
 					avx512PartialTile32(out, i*n+j0, n, jw, &a[i*k+pc], k*4, 4, bp, pk, load)
 				}
 			}
 			for ; i+4 <= hi; i += 4 {
 				if jw == avx512NR {
-					avx512Micro4x16f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, pk, b2i(load))
+					avx512Micro4x16f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, bs*4, pk, b2i(load))
 				} else {
 					avx512PartialTile4x32(out, i*n+j0, n, jw, &a[i*k+pc], k*4, 4, bp, pk, load)
 				}
 			}
 			for ; i < hi; i++ {
-				avx512RowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, load)
+				avx512RowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, bsrc, bs, load)
 			}
 		}
 	}
@@ -278,20 +291,20 @@ func gemmATRangeAVX512(out, a, b []float64, m, k, n, plo, phi int, acc bool) {
 			p := plo
 			for ; p+8 <= phi; p += 8 {
 				if jw == fmaNR {
-					avx512Micro8x8(&out[p*n+j0], n*8, &a[ic*k+p], 8, k*8, bp, mk, b2i(load))
+					avx512Micro8x8(&out[p*n+j0], n*8, &a[ic*k+p], 8, k*8, bp, fmaNR*8, mk, b2i(load))
 				} else {
 					avx512PartialTile64(out, p*n+j0, n, jw, &a[ic*k+p], 8, k*8, bp, mk, load)
 				}
 			}
 			for ; p+4 <= phi; p += 4 {
 				if jw == fmaNR {
-					fmaMicro4x8(&out[p*n+j0], n*8, &a[ic*k+p], 8, k*8, bp, mk, b2i(load))
+					fmaMicro4x8(&out[p*n+j0], n*8, &a[ic*k+p], 8, k*8, bp, fmaNR*8, mk, b2i(load))
 				} else {
 					fmaPartialTile(out, p*n+j0, n, jw, &a[ic*k+p], 8, k*8, bp, mk, load)
 				}
 			}
 			for ; p < phi; p++ {
-				fmaRowTail(out[p*n+j0:p*n+j0+jw], jw, a[ic*k+p:], k, mk, panel, load)
+				fmaRowTail(out[p*n+j0:p*n+j0+jw], jw, a[ic*k+p:], k, mk, panel, fmaNR, load)
 			}
 		}
 	}
@@ -319,20 +332,20 @@ func gemmATRangeAVX51232(out, a, b []float32, m, k, n, plo, phi int, acc bool) {
 			p := plo
 			for ; p+8 <= phi; p += 8 {
 				if jw == avx512NR {
-					avx512Micro8x16f32(&out[p*n+j0], n*4, &a[ic*k+p], 4, k*4, bp, mk, b2i(load))
+					avx512Micro8x16f32(&out[p*n+j0], n*4, &a[ic*k+p], 4, k*4, bp, avx512NR*4, mk, b2i(load))
 				} else {
 					avx512PartialTile32(out, p*n+j0, n, jw, &a[ic*k+p], 4, k*4, bp, mk, load)
 				}
 			}
 			for ; p+4 <= phi; p += 4 {
 				if jw == avx512NR {
-					avx512Micro4x16f32(&out[p*n+j0], n*4, &a[ic*k+p], 4, k*4, bp, mk, b2i(load))
+					avx512Micro4x16f32(&out[p*n+j0], n*4, &a[ic*k+p], 4, k*4, bp, avx512NR*4, mk, b2i(load))
 				} else {
 					avx512PartialTile4x32(out, p*n+j0, n, jw, &a[ic*k+p], 4, k*4, bp, mk, load)
 				}
 			}
 			for ; p < phi; p++ {
-				avx512RowTail(out[p*n+j0:p*n+j0+jw], jw, a[ic*k+p:], k, mk, panel, load)
+				avx512RowTail(out[p*n+j0:p*n+j0+jw], jw, a[ic*k+p:], k, mk, panel, avx512NR, load)
 			}
 		}
 	}
@@ -360,20 +373,20 @@ func gemmABTRangeAVX512(out, a, b []float64, k, n, ilo, ihi int, acc bool) {
 			i := ilo
 			for ; i+8 <= ihi; i += 8 {
 				if jw == fmaNR {
-					avx512Micro8x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, pk, b2i(load))
+					avx512Micro8x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, fmaNR*8, pk, b2i(load))
 				} else {
 					avx512PartialTile64(out, i*n+j0, n, jw, &a[i*k+pc], k*8, 8, bp, pk, load)
 				}
 			}
 			for ; i+4 <= ihi; i += 4 {
 				if jw == fmaNR {
-					fmaMicro4x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, pk, b2i(load))
+					fmaMicro4x8(&out[i*n+j0], n*8, &a[i*k+pc], k*8, 8, bp, fmaNR*8, pk, b2i(load))
 				} else {
 					fmaPartialTile(out, i*n+j0, n, jw, &a[i*k+pc], k*8, 8, bp, pk, load)
 				}
 			}
 			for ; i < ihi; i++ {
-				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, load)
+				fmaRowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, fmaNR, load)
 			}
 		}
 	}
@@ -401,20 +414,20 @@ func gemmABTRangeAVX51232(out, a, b []float32, k, n, ilo, ihi int, acc bool) {
 			i := ilo
 			for ; i+8 <= ihi; i += 8 {
 				if jw == avx512NR {
-					avx512Micro8x16f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, pk, b2i(load))
+					avx512Micro8x16f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, avx512NR*4, pk, b2i(load))
 				} else {
 					avx512PartialTile32(out, i*n+j0, n, jw, &a[i*k+pc], k*4, 4, bp, pk, load)
 				}
 			}
 			for ; i+4 <= ihi; i += 4 {
 				if jw == avx512NR {
-					avx512Micro4x16f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, pk, b2i(load))
+					avx512Micro4x16f32(&out[i*n+j0], n*4, &a[i*k+pc], k*4, 4, bp, avx512NR*4, pk, b2i(load))
 				} else {
 					avx512PartialTile4x32(out, i*n+j0, n, jw, &a[i*k+pc], k*4, 4, bp, pk, load)
 				}
 			}
 			for ; i < ihi; i++ {
-				avx512RowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, load)
+				avx512RowTail(out[i*n+j0:i*n+j0+jw], jw, a[i*k+pc:], 1, pk, panel, avx512NR, load)
 			}
 		}
 	}

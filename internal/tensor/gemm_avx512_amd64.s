@@ -11,26 +11,28 @@
 
 #include "textflag.h"
 
-// func avx512Micro8x8(c *float64, ldc int, a *float64, aRow, aStep int, bp *float64, pk int, load int)
+// func avx512Micro8x8(c *float64, ldc int, a *float64, aRow, aStep int, bp *float64, bStep, pk int, load int)
 //
 // Computes an 8×8 float64 register tile C[r, 0:8] (+)= Σ_t A[r, t]·B[t, 0:8]
 // where the eight logical A rows start at a + r·aRow and advance by aStep per
-// reduction step, and B is an 8-wide packed panel of pk rows (one ZMM vector
-// per reduction step — the same panel layout the AVX2 4×8 kernel streams as
-// two YMM halves). All strides are in bytes. load != 0 seeds the
-// accumulators from C (accumulate); load == 0 overwrites. pk must be >= 1.
+// reduction step. B row t (one ZMM vector — the row the AVX2 4×8 kernel
+// streams as two YMM halves) starts at bp + t·bStep: an 8-wide packed panel
+// (bStep = 64) or B read in place (bStep = its row pitch). All strides are
+// in bytes. load != 0 seeds the accumulators from C (accumulate); load == 0
+// overwrites. pk must be >= 1.
 //
 // Rows 0-3 broadcast from SI, rows 4-7 from R10 = SI + 4·aRow; both
 // pointers advance by aStep per step.
-TEXT ·avx512Micro8x8(SB), NOSPLIT, $0-64
+TEXT ·avx512Micro8x8(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), CX
 	MOVQ a+16(FP), SI
 	MOVQ aRow+24(FP), R8
 	MOVQ aStep+32(FP), R9
 	MOVQ bp+40(FP), BX
-	MOVQ pk+48(FP), DX
-	MOVQ load+56(FP), AX
+	MOVQ bStep+48(FP), R14
+	MOVQ pk+56(FP), DX
+	MOVQ load+64(FP), AX
 
 	LEAQ (R8)(R8*2), R13 // 3·aRow
 	LEAQ (SI)(R8*4), R10 // A row 4
@@ -63,6 +65,7 @@ TEXT ·avx512Micro8x8(SB), NOSPLIT, $0-64
 	ADDQ    CX, R11
 	VMOVUPD (R11), Z7
 
+	PCALIGN $32
 loop:
 	VMOVUPD      (BX), Z8
 	VBROADCASTSD (SI), Z9
@@ -81,7 +84,7 @@ loop:
 	VFMADD231PD  Z8, Z10, Z5
 	VFMADD231PD  Z8, Z11, Z6
 	VFMADD231PD  Z8, Z12, Z7
-	ADDQ         $64, BX
+	ADDQ         R14, BX
 	ADDQ         R9, SI
 	ADDQ         R9, R10
 	DECQ         DX
@@ -106,23 +109,24 @@ loop:
 	VZEROUPPER
 	RET
 
-// func avx512Micro8x16f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, pk int, load int)
+// func avx512Micro8x16f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, bStep, pk int, load int)
 //
 // Computes an 8×16 float32 register tile C[r, 0:16] (+)= Σ_t A[r, t]·B[t, 0:16]
 // where the eight logical A rows start at a + r·aRow and advance by aStep per
-// reduction step, and B is a 16-wide packed panel of pk float32 rows (one
-// 16-lane ZMM vector per reduction step). All strides are in bytes. load != 0
-// seeds the accumulators from C (accumulate); load == 0 overwrites. pk must
-// be >= 1.
-TEXT ·avx512Micro8x16f32(SB), NOSPLIT, $0-64
+// reduction step. B row t (one 16-lane ZMM vector) starts at bp + t·bStep:
+// a 16-wide packed panel (bStep = 64) or B read in place (bStep = its row
+// pitch). All strides are in bytes. load != 0 seeds the accumulators from C
+// (accumulate); load == 0 overwrites. pk must be >= 1.
+TEXT ·avx512Micro8x16f32(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), CX
 	MOVQ a+16(FP), SI
 	MOVQ aRow+24(FP), R8
 	MOVQ aStep+32(FP), R9
 	MOVQ bp+40(FP), BX
-	MOVQ pk+48(FP), DX
-	MOVQ load+56(FP), AX
+	MOVQ bStep+48(FP), R14
+	MOVQ pk+56(FP), DX
+	MOVQ load+64(FP), AX
 
 	LEAQ (R8)(R8*2), R13 // 3·aRow
 	LEAQ (SI)(R8*4), R10 // A row 4
@@ -155,6 +159,7 @@ TEXT ·avx512Micro8x16f32(SB), NOSPLIT, $0-64
 	ADDQ    CX, R11
 	VMOVUPS (R11), Z7
 
+	PCALIGN $32
 loop32:
 	VMOVUPS      (BX), Z8
 	VBROADCASTSS (SI), Z9
@@ -173,7 +178,7 @@ loop32:
 	VFMADD231PS  Z8, Z10, Z5
 	VFMADD231PS  Z8, Z11, Z6
 	VFMADD231PS  Z8, Z12, Z7
-	ADDQ         $64, BX
+	ADDQ         R14, BX
 	ADDQ         R9, SI
 	ADDQ         R9, R10
 	DECQ         DX
@@ -198,19 +203,20 @@ loop32:
 	VZEROUPPER
 	RET
 
-// func avx512Micro4x16f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, pk int, load int)
+// func avx512Micro4x16f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, bStep, pk int, load int)
 //
 // The 4-row variant of avx512Micro8x16f32, for the 4..7-row leftovers of a
 // tile sweep. Same convention.
-TEXT ·avx512Micro4x16f32(SB), NOSPLIT, $0-64
+TEXT ·avx512Micro4x16f32(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), CX
 	MOVQ a+16(FP), SI
 	MOVQ aRow+24(FP), R8
 	MOVQ aStep+32(FP), R9
 	MOVQ bp+40(FP), BX
-	MOVQ pk+48(FP), DX
-	MOVQ load+56(FP), AX
+	MOVQ bStep+48(FP), R14
+	MOVQ pk+56(FP), DX
+	MOVQ load+64(FP), AX
 
 	LEAQ (R8)(R8*2), R13 // 3·aRow
 	LEAQ (DI)(CX*1), R10 // C row 1
@@ -229,6 +235,7 @@ TEXT ·avx512Micro4x16f32(SB), NOSPLIT, $0-64
 	VMOVUPS (R11), Z2
 	VMOVUPS (R12), Z3
 
+	PCALIGN $32
 loop4x32:
 	VMOVUPS      (BX), Z8
 	VBROADCASTSS (SI), Z9
@@ -239,7 +246,7 @@ loop4x32:
 	VFMADD231PS  Z8, Z10, Z1
 	VFMADD231PS  Z8, Z11, Z2
 	VFMADD231PS  Z8, Z12, Z3
-	ADDQ         $64, BX
+	ADDQ         R14, BX
 	ADDQ         R9, SI
 	DECQ         DX
 	JNZ          loop4x32

@@ -3,6 +3,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,12 +81,9 @@ func mimicF64(form gemmForm, out, a, b []float64, m, k, n int, acc, fused bool) 
 		for r := lo; r < hi; r++ {
 			rowFused := fused && r < fmaHi
 			for j := 0; j < cols; j++ {
-				// The portable ABT kernel accumulates each dot product from
-				// zero and adds the seed at the end; every other kernel (and
-				// the asm tiers' load flag) seeds the accumulator up front.
-				seedLast := acc && form == formABT && !fused
+				// Every kernel seeds the accumulator from out up front.
 				var c float64
-				if acc && !seedLast {
+				if acc {
 					c = out[r*cols+j]
 				}
 				for t := 0; t < red; t++ {
@@ -104,11 +102,7 @@ func mimicF64(form gemmForm, out, a, b []float64, m, k, n int, acc, fused bool) 
 						c += av * bv
 					}
 				}
-				if seedLast {
-					out[r*cols+j] += c
-				} else {
-					out[r*cols+j] = c
-				}
+				out[r*cols+j] = c
 			}
 		}
 	}
@@ -254,7 +248,7 @@ func TestGEMMDifferentialF32(t *testing.T) {
 				if acc {
 					copy(ref32, seed.F32)
 				}
-				mimicMulAdd32(form, ref32, a.F32, b.F32, m, k, n, acc)
+				mimicMulAdd32(form, ref32, a.F32, b.F32, m, k, n)
 				for i := range ref32 {
 					if math.Float32bits(ref32[i]) != math.Float32bits(portable.F32[i]) {
 						t.Fatalf("portable form=%d m=%d k=%d n=%d acc=%v: element %d = %x, mimic %x",
@@ -298,19 +292,16 @@ func TestGEMMDifferentialF32(t *testing.T) {
 }
 
 // mimicMulAdd32 is the naive mul+add float32 reference, exact for the
-// portable tier (accumulation is per-element sequential there too).
-func mimicMulAdd32(form gemmForm, out []float32, a, b []float32, m, k, n int, acc bool) {
+// portable tier (accumulation is per-element sequential there too). out
+// holds the accumulator seed: the prior contents for acc, zeros otherwise.
+func mimicMulAdd32(form gemmForm, out []float32, a, b []float32, m, k, n int) {
 	rows, red := m, k
 	if form == formATB {
 		rows, red = k, m
 	}
-	seedLast := acc && form == formABT // see mimicF64
 	for r := 0; r < rows; r++ {
 		for j := 0; j < n; j++ {
-			var c float32
-			if !seedLast {
-				c = out[r*n+j]
-			}
+			c := out[r*n+j]
 			for t := 0; t < red; t++ {
 				var av, bv float32
 				switch form {
@@ -323,10 +314,52 @@ func mimicMulAdd32(form gemmForm, out []float32, a, b []float32, m, k, n int, ac
 				}
 				c += av * bv
 			}
-			if seedLast {
-				out[r*n+j] += c
-			} else {
-				out[r*n+j] = c
+			out[r*n+j] = c
+		}
+	}
+}
+
+// TestGEMMPackFreeMatchesPacked pins the in-place B path of the A·B drivers
+// (shards of one or two register tiles skip packing) to the packed path,
+// bit for bit, on every asm tier: output heights around the 4/8-row tiles
+// (8, 16 and 24 rows, whose shards straddle the threshold), full and
+// partial column tiles of the 8- and 16-wide panels, reductions crossing
+// gemmKC, with and without accumulation.
+func TestGEMMPackFreeMatchesPacked(t *testing.T) {
+	if !detectFMA() {
+		t.Skip("no AVX2+FMA on this host")
+	}
+	defer setTiers(false, false).restore()
+	defer func(v int) { packFreeTiles = v }(packFreeTiles)
+	tiers := [][2]bool{{true, false}}
+	if detectAVX512() {
+		tiers = append(tiers, [2]bool{true, true})
+	}
+	rng := rand.New(rand.NewSource(47))
+	for _, dt := range []DType{F64, F32} {
+		for _, m := range []int{1, 4, 7, 8, 12, 16, 17, 24, 32} {
+			for _, n := range []int{5, 8, 16, 21, 40, 288} {
+				for _, k := range []int{1, 9, 72, 300} {
+					a := NewOf(dt, m, k)
+					b := NewOf(dt, k, n)
+					seed := NewOf(dt, m, n)
+					fillNonzero(a, rng)
+					fillNonzero(b, rng)
+					fillNonzero(seed, rng)
+					for _, tier := range tiers {
+						setTiers(tier[0], tier[1])
+						for _, acc := range []bool{false, true} {
+							packFreeTiles = 0
+							packed := seed.Clone()
+							gemmNN(packed, a, b, acc)
+							packFreeTiles = 2
+							direct := seed.Clone()
+							gemmNN(direct, a, b, acc)
+							equalBits(t, fmt.Sprintf("dt=%v tier=%v m=%d n=%d k=%d acc=%v: in-place B vs packed",
+								dt, tier, m, n, k, acc), direct, packed)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -494,6 +494,9 @@ func gemmABT(out, a, b *Tensor, acc bool) {
 
 // gemmABTRange computes rows [ilo,ihi) of out = a·bᵀ as 2×4 register tiles
 // of dot products, reading each pair of a rows and quad of b rows once.
+// With acc the accumulators start from out, like the blocked kernels' load
+// flag, so splitting the reduction across calls (a chunked lowering
+// accumulating dWᵀ chunk by chunk) continues one chain per element.
 func gemmABTRange[F Float](out, a, b []F, k, n, ilo, ihi int, acc bool) {
 	i := ilo
 	for ; i+2 <= ihi; i += 2 {
@@ -508,6 +511,10 @@ func gemmABTRange[F Float](out, a, b []F, k, n, ilo, ihi int, acc bool) {
 			b2 := b[(j+2)*k : (j+2)*k+k]
 			b3 := b[(j+3)*k : (j+3)*k+k]
 			var c00, c01, c02, c03, c10, c11, c12, c13 F
+			if acc {
+				c00, c01, c02, c03 = o0[j], o0[j+1], o0[j+2], o0[j+3]
+				c10, c11, c12, c13 = o1[j], o1[j+1], o1[j+2], o1[j+3]
+			}
 			for p := 0; p < k; p++ {
 				av0, av1 := a0[p], a1[p]
 				bv := b0[p]
@@ -523,34 +530,21 @@ func gemmABTRange[F Float](out, a, b []F, k, n, ilo, ihi int, acc bool) {
 				c03 += av0 * bv
 				c13 += av1 * bv
 			}
-			if acc {
-				o0[j] += c00
-				o0[j+1] += c01
-				o0[j+2] += c02
-				o0[j+3] += c03
-				o1[j] += c10
-				o1[j+1] += c11
-				o1[j+2] += c12
-				o1[j+3] += c13
-			} else {
-				o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
-				o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
-			}
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
 		}
 		for ; j < n; j++ {
 			brow := b[j*k : j*k+k]
 			var c0, c1 F
+			if acc {
+				c0, c1 = o0[j], o1[j]
+			}
 			for p, bv := range brow {
 				c0 += a0[p] * bv
 				c1 += a1[p] * bv
 			}
-			if acc {
-				o0[j] += c0
-				o1[j] += c1
-			} else {
-				o0[j] = c0
-				o1[j] = c1
-			}
+			o0[j] = c0
+			o1[j] = c1
 		}
 	}
 	for ; i < ihi; i++ {
@@ -559,14 +553,13 @@ func gemmABTRange[F Float](out, a, b []F, k, n, ilo, ihi int, acc bool) {
 		for j := 0; j < n; j++ {
 			brow := b[j*k : j*k+k]
 			var c0 F
+			if acc {
+				c0 = o0[j]
+			}
 			for p, bv := range brow {
 				c0 += a0[p] * bv
 			}
-			if acc {
-				o0[j] += c0
-			} else {
-				o0[j] = c0
-			}
+			o0[j] = c0
 		}
 	}
 }

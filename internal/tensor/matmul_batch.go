@@ -120,9 +120,6 @@ func batchGemmNN(outs, as, bs []*Tensor, acc bool) {
 	})
 }
 
-// MatMulBatchATBInto computes outs[g] = as[g]ᵀ·bs[g] (see MatMulATBInto).
-func MatMulBatchATBInto(outs, as, bs []*Tensor) { batchGemmAT(outs, as, bs, false) }
-
 // MatMulBatchATBAcc computes outs[g] += as[g]ᵀ·bs[g] (see MatMulATBAcc).
 func MatMulBatchATBAcc(outs, as, bs []*Tensor) { batchGemmAT(outs, as, bs, true) }
 

@@ -82,12 +82,12 @@ func TestMatMulBatchMatchesSingles(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	single := map[gemmForm][2]func(o, a, b *Tensor){
 		formNN:  {func(o, a, b *Tensor) { MatMulInto(o, a, b) }, nil},
-		formATB: {func(o, a, b *Tensor) { MatMulATBInto(o, a, b) }, func(o, a, b *Tensor) { MatMulATBAcc(o, a, b) }},
+		formATB: {nil, func(o, a, b *Tensor) { MatMulATBAcc(o, a, b) }},
 		formABT: {func(o, a, b *Tensor) { MatMulABTInto(o, a, b) }, func(o, a, b *Tensor) { MatMulABTAcc(o, a, b) }},
 	}
 	batch := map[gemmForm][2]func(o, a, b []*Tensor){
 		formNN:  {MatMulBatchInto, nil},
-		formATB: {MatMulBatchATBInto, MatMulBatchATBAcc},
+		formATB: {nil, MatMulBatchATBAcc},
 		formABT: {MatMulBatchABTInto, MatMulBatchABTAcc},
 	}
 	for _, dt := range []DType{F64, F32, BF16} {

@@ -28,7 +28,7 @@ func vecReluBwd64(dx, grad, y *float64, n int)
 func vecReluBwd32(dx, grad, y *float32, n int)
 
 //go:noescape
-func fmaMicro4x8f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, pk int, load int)
+func fmaMicro4x8f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, bStep, pk int, load int)
 
 //go:noescape
 func transpose8x8f32(dst, src *float32, srcStride int)

@@ -133,20 +133,21 @@ relubwd32loop:
 	VZEROUPPER
 	RET
 
-// func fmaMicro4x8f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, pk int, load int)
+// func fmaMicro4x8f32(c *float32, ldc int, a *float32, aRow, aStep int, bp *float32, bStep, pk int, load int)
 //
 // The 4-row little sibling of fmaMicro8x8f32, for GEMM shapes whose output
 // has fewer than 8 rows (narrow grouped convolutions): C[r, 0:8] (+)=
 // Σ_t A[r, t]·B[t, 0:8] for r in 0..3. Same calling convention.
-TEXT ·fmaMicro4x8f32(SB), NOSPLIT, $0-64
+TEXT ·fmaMicro4x8f32(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), CX
 	MOVQ a+16(FP), SI
 	MOVQ aRow+24(FP), R8
 	MOVQ aStep+32(FP), R9
 	MOVQ bp+40(FP), BX
-	MOVQ pk+48(FP), DX
-	MOVQ load+56(FP), AX
+	MOVQ bStep+48(FP), R14
+	MOVQ pk+56(FP), DX
+	MOVQ load+64(FP), AX
 
 	LEAQ (R8)(R8*2), R13 // 3·aRow
 	LEAQ (DI)(CX*1), R10 // C row 1
@@ -165,6 +166,7 @@ TEXT ·fmaMicro4x8f32(SB), NOSPLIT, $0-64
 	VMOVUPS (R11), Y2
 	VMOVUPS (R12), Y3
 
+	PCALIGN $32
 loop4x32:
 	VMOVUPS      (BX), Y8
 	VBROADCASTSS (SI), Y10
@@ -175,7 +177,7 @@ loop4x32:
 	VFMADD231PS  Y8, Y11, Y1
 	VFMADD231PS  Y8, Y12, Y2
 	VFMADD231PS  Y8, Y13, Y3
-	ADDQ         $32, BX
+	ADDQ         R14, BX
 	ADDQ         R9, SI
 	DECQ         DX
 	JNZ          loop4x32
