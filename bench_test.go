@@ -112,6 +112,31 @@ func BenchmarkRoundThroughput10k(b *testing.B) {
 	}
 }
 
+// BenchmarkLazyRehydrate is one lazy-fleet eviction cycle at resident
+// budget 1: a Get of a parked MiniResNet client, whose model comes back
+// from a recycled shell, plus the EvictToBudget that parks the other one.
+func BenchmarkLazyRehydrate(b *testing.B) {
+	build, _, err := experiments.NewLazyFleetBuilder(experiments.Fashion, data.Dirichlet, "homogeneous", 2, benchScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := fl.NewClientStore(2, build, 1)
+	// Materialize both clients and leave one parked with a shell pooled.
+	for _, id := range []int{0, 1, 0, 1} {
+		st.Get(id)
+		if err := st.EvictToBudget(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Get(i & 1)
+		if err := st.EvictToBudget(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRoundThroughputTree runs the 2-level aggregation tree — a root
 // server, two edge aggregators and the client nodes, all over the inproc
 // transport — so the hierarchical wire path's round cost sits in the same

@@ -12,7 +12,9 @@
 // Compare mode gates CI on performance: it joins two BENCH files by
 // benchmark name and exits non-zero if any shared metric regressed by more
 // than the threshold (default 15%) — ns/op up, a custom throughput metric
-// (rounds/vtime) down, or allocs/op up:
+// (rounds/vtime) down, or allocs/op up. Files recorded at different
+// GOMAXPROCS values are refused (exit 2), since both wall time and
+// allocation counts depend on how many workers dispatch runs on:
 //
 //	go run ./cmd/bench -compare BENCH_2026-07-28.json BENCH_new.json
 package main
@@ -61,7 +63,11 @@ type File struct {
 	// CPUFeatures); -compare refuses to gate wall time across files whose
 	// tiers differ, since a portable-vs-AVX2-vs-AVX512 delta is a host
 	// property, not a regression.
-	Features   []string           `json:"features,omitempty"`
+	Features []string `json:"features,omitempty"`
+	// GOMAXPROCS is the value the benchmarks ran at (the `go test` child
+	// inherits this process's environment and CPU affinity). Zero in files
+	// that predate the field.
+	GOMAXPROCS int                `json:"gomaxprocs,omitempty"`
 	BenchRegex string             `json:"bench_regex"`
 	BenchTime  string             `json:"bench_time"`
 	Benchmarks []Result           `json:"benchmarks"`
@@ -80,7 +86,7 @@ var (
 )
 
 func main() {
-	bench := flag.String("bench", "MatMul64|MatMul32|ConvForward|ClientLocalEpoch|ClassifierAveraging|RoundThroughput|QuantizedMarshal|MarshalTopK|DecodeDelta", "benchmark regex passed to go test -bench")
+	bench := flag.String("bench", "MatMul64|MatMul32|ConvForward|ClientLocalEpoch|ClassifierAveraging|RoundThroughput|LazyRehydrate|QuantizedMarshal|MarshalTopK|DecodeDelta", "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "2s", "value passed to go test -benchtime")
 	pkg := flag.String("pkg", ".", "package containing the benchmarks")
 	out := flag.String("out", "", "output path (default BENCH_<date>.json)")
@@ -133,6 +139,7 @@ func main() {
 		GOARCH:     runtime.GOARCH,
 		CPU:        cpu,
 		Features:   tensor.CPUFeatures(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		BenchRegex: *bench,
 		BenchTime:  *benchtime,
 		Benchmarks: results,
@@ -251,6 +258,16 @@ func compareFiles(oldPath, newPath string, threshold float64, compareNs bool) ([
 	newF, err := loadFile(newPath)
 	if err != nil {
 		return nil, err
+	}
+	// Parallel dispatch allocates per-task closures and changes wall time,
+	// so no metric compares across GOMAXPROCS values. Files predating the
+	// field compare as before, with a note.
+	switch {
+	case oldF.GOMAXPROCS > 0 && newF.GOMAXPROCS > 0 && oldF.GOMAXPROCS != newF.GOMAXPROCS:
+		return nil, fmt.Errorf("%s ran at GOMAXPROCS=%d, %s at GOMAXPROCS=%d: allocs/op and ns/op are not comparable across GOMAXPROCS values (rerun with GOMAXPROCS=%d)",
+			oldPath, oldF.GOMAXPROCS, newPath, newF.GOMAXPROCS, oldF.GOMAXPROCS)
+	case oldF.GOMAXPROCS == 0 || newF.GOMAXPROCS == 0:
+		fmt.Fprintf(os.Stderr, "bench: note: %s and %s do not both record GOMAXPROCS; comparing without the GOMAXPROCS check\n", oldPath, newPath)
 	}
 	// Wall time measured under different kernel tiers is a host delta, not
 	// a code delta: refuse to gate ns/op across feature-mismatched files.

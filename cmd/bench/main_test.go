@@ -84,3 +84,25 @@ func TestCompareFiles(t *testing.T) {
 		t.Fatal("missing file must error")
 	}
 }
+
+// -compare refuses files recorded at different GOMAXPROCS values, and
+// compares files that share a value, or that predate the field, as usual.
+func TestCompareFilesGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	bench := []Result{{Name: "BenchmarkMatMul64", NsPerOp: 1000, AllocsPerOp: 4}}
+	at := func(name string, procs int) string {
+		return writeBench(t, dir, name, File{GOMAXPROCS: procs, Benchmarks: bench})
+	}
+	one, two, legacy := at("one.json", 1), at("two.json", 2), at("legacy.json", 0)
+
+	_, err := compareFiles(one, two, 0.15, false)
+	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS=1") || !strings.Contains(err.Error(), "GOMAXPROCS=2") {
+		t.Fatalf("GOMAXPROCS 1 vs 2 must be refused with both values named, got %v", err)
+	}
+	for _, pair := range [][2]string{{one, at("one-again.json", 1)}, {legacy, one}, {two, legacy}} {
+		regs, err := compareFiles(pair[0], pair[1], 0.15, true)
+		if err != nil || len(regs) != 0 {
+			t.Fatalf("%s vs %s: regressions %v, err %v", pair[0], pair[1], regs, err)
+		}
+	}
+}

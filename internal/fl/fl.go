@@ -192,8 +192,8 @@ type Algorithm interface {
 // Simulation owns the clients, the traffic ledger and the metrics history.
 // Clients live either eagerly in Clients (the historical layout) or behind
 // a lazy ClientStore (NewLazySimulation) that materializes them on demand
-// and spills evicted state through the snapshot buffer format; access goes
-// through Client/NumClients so algorithms work against both.
+// and parks evicted ones, recycling their models; access goes through
+// Client/NumClients so algorithms work against both.
 type Simulation struct {
 	Clients []*Client
 	Ledger  *comm.Ledger
@@ -237,9 +237,10 @@ func NewSimulation(clients []*Client, cfg Config) *Simulation {
 // NewLazySimulation builds a simulation over a virtual fleet of n clients
 // materialized on demand by build (which must construct client i as a pure
 // function of i). At most resident clients stay materialized; beyond that
-// the least-recently-used client's mutable state spills to compact
-// snapshot buffers and is restored bit-identically on re-dispatch, so any
-// finite budget produces the same metrics and trace as budget ∞.
+// the least-recently-used client is parked — its model's parameters and
+// buffers spill to compact vectors and the model is recycled — and is
+// restored bit-identically on re-dispatch, so any finite budget produces
+// the same metrics and trace as budget ∞.
 // resident <= 0 means unbounded. When Cfg.EvalSample is unset it defaults
 // to the cohort size, keeping evaluation O(cohort) like everything else.
 func NewLazySimulation(n int, build func(int) *Client, resident int, cfg Config) *Simulation {

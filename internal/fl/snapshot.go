@@ -187,9 +187,9 @@ func cloneHistory(hist []RoundMetrics) []RoundMetrics {
 
 // captureClientState freezes one client's mutable state — flat parameters,
 // batch-norm buffers, RNG position and optimizer moments — into the
-// compact buffer format both checkpoints and the lazy store's spill path
-// use. The flat vectors are appended to the (cap-reused, length-reset)
-// slices passed in, so spill cycles can recycle buffers.
+// compact buffer format checkpoints use, and the lazy store's rebuild path
+// with them. The flat vectors are appended to the (cap-reused,
+// length-reset) slices passed in, so spill cycles can recycle buffers.
 func captureClientState(c *Client, params, buffers []float64) (ClientState, error) {
 	if c.Src == nil {
 		return ClientState{}, fmt.Errorf("fl: client %d has no serializable RNG (set fl.Client.Src via xrand.NewRand)", c.ID)

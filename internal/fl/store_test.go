@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/models"
+	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/xrand"
 )
@@ -17,6 +19,15 @@ import (
 // partitioned synthetic dataset.
 func lazyTestBuilder(t *testing.T, k int) func(int) *Client {
 	t.Helper()
+	return archTestBuilder(t, k, func(int) models.Config {
+		return models.Config{Arch: models.ArchMLP, InC: 1, InH: 12, InW: 12, FeatDim: 8, NumClasses: 10, Hidden: 16}
+	})
+}
+
+// archTestBuilder is lazyTestBuilder with client i's model configuration
+// chosen by cfgFor.
+func archTestBuilder(t *testing.T, k int, cfgFor func(i int) models.Config) func(int) *Client {
+	t.Helper()
 	ds := data.Generate(data.SynthFashion(6, 4, 3))
 	lp, err := data.NewLazyPartitioner(ds, k, data.PartitionOptions{Kind: data.Dirichlet, Alpha: 0.5, Seed: 1})
 	if err != nil {
@@ -24,9 +35,7 @@ func lazyTestBuilder(t *testing.T, k int) func(int) *Client {
 	}
 	return func(i int) *Client {
 		part := lp.Client(i)
-		m := models.New(models.Config{
-			Arch: models.ArchMLP, InC: 1, InH: 12, InW: 12, FeatDim: 8, NumClasses: 10, Hidden: 16,
-		}, xrand.New(int64(i+1)))
+		m := models.New(cfgFor(i), xrand.New(int64(i+1)))
 		rng, src := xrand.NewRand(int64(i) * 7919)
 		return &Client{
 			ID: i, Model: m, Train: part.Train, Test: part.Test,
@@ -212,11 +221,12 @@ func TestClientStoreEvictRehydrateBitIdentical(t *testing.T) {
 	if st.Resident() > 2 {
 		t.Fatalf("%d clients resident over budget 2", st.Resident())
 	}
-
-	re := st.Get(3)
-	if re == c {
+	// Eviction parks the client object and detaches its model.
+	if c.Model != nil {
 		t.Fatal("client 3 was never evicted — test exercises nothing")
 	}
+
+	re := st.Get(3)
 	after, err := captureClientState(re, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -373,5 +383,258 @@ func TestEvalSampleStreamIsolated(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cohorts(3), cohorts(5)) {
 		t.Fatal("changing EvalSample perturbed the cohort sampling stream")
+	}
+}
+
+// countBuilds wraps a builder with a per-id call counter.
+func countBuilds(build func(int) *Client) (func(int) *Client, func() map[int]int) {
+	var mu sync.Mutex
+	counts := make(map[int]int)
+	return func(i int) *Client {
+			mu.Lock()
+			counts[i]++
+			mu.Unlock()
+			return build(i)
+		}, func() map[int]int {
+			mu.Lock()
+			defer mu.Unlock()
+			out := make(map[int]int, len(counts))
+			for id, n := range counts {
+				out[id] = n
+			}
+			return out
+		}
+}
+
+func totalBuilds(counts map[int]int) int {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	return n
+}
+
+// Once every id has been built and a shell is pooled, evicting and
+// rehydrating never calls the builder: parked clients get a recycled
+// shell back.
+func TestClientStoreRehydrateNeverBuilds(t *testing.T) {
+	build, builds := countBuilds(lazyTestBuilder(t, 4))
+	st := NewClientStore(4, build, 1)
+	for _, id := range []int{0, 1} {
+		st.Get(id).TrainEpochCE(8)
+		if err := st.EvictToBudget(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := totalBuilds(builds())
+	for k := 0; k < 10; k++ {
+		st.Get(k % 2).TrainEpochCE(8)
+		if err := st.EvictToBudget(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := totalBuilds(builds()) - warm; got != 0 {
+		t.Fatalf("10 evict/rehydrate cycles called the builder %d times, want 0", got)
+	}
+}
+
+// One Get of a parked client plus the eviction that parks the other stays
+// within a small, fixed number of allocations: no model, optimizer state or
+// spill vector is built per cycle.
+func TestClientStoreRehydrateAllocs(t *testing.T) {
+	st := NewClientStore(2, lazyTestBuilder(t, 2), 1)
+	for _, id := range []int{0, 1, 0, 1} {
+		st.Get(id).TrainEpochCE(8)
+		if err := st.EvictToBudget(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		st.Get(id)
+		if err := st.EvictToBudget(nil); err != nil {
+			t.Fatal(err)
+		}
+		id ^= 1
+	})
+	const budget = 16 // 12 measured: model walks and the LRU element
+	if allocs > budget {
+		t.Fatalf("Get+EvictToBudget cycle made %.0f allocations, budget %d", allocs, budget)
+	}
+}
+
+// Concurrent Gets of one parked id must all receive that client with its
+// parked state restored, whether rehydration takes a pooled shell or misses
+// and builds a model outside the lock. Run under -race.
+func TestClientStoreSameIDRaceOnParked(t *testing.T) {
+	for _, miss := range []bool{false, true} {
+		build, builds := countBuilds(lazyTestBuilder(t, 4))
+		st := NewClientStore(4, build, 1)
+		c := st.Get(0)
+		c.TrainEpochCE(8)
+		want, err := captureClientState(c, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Get(1)
+		if err := st.EvictToBudget(nil); err != nil {
+			t.Fatal(err)
+		}
+		if c.Model != nil {
+			t.Fatal("client 0 was not evicted")
+		}
+		if miss {
+			st.shells = make(map[models.Config][]*models.SplitModel)
+			st.nshells = 0
+		}
+		before := totalBuilds(builds())
+
+		const g = 8
+		got := make([]*Client, g)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				got[i] = st.Get(0)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, gc := range got {
+			if gc != c {
+				t.Fatalf("miss=%v: goroutine %d got a different client than the parked one", miss, i)
+			}
+		}
+		after, err := captureClientState(c, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, after) {
+			t.Fatalf("miss=%v: rehydrated state differs from the parked state", miss)
+		}
+		wantBuilds := 0
+		if miss {
+			wantBuilds = 1
+		}
+		if n := totalBuilds(builds()) - before; n != wantBuilds {
+			t.Fatalf("miss=%v: %d builder calls, want %d", miss, n, wantBuilds)
+		}
+	}
+}
+
+// A Dropout layer draws from an RNG outside Params and Buffers, so its
+// model must never be recycled into another client: a lazy fleet whose
+// models carry dropout (drawing from the client's own stream) is still
+// byte-identical at every budget.
+func TestLazyDropoutBudgetByteIdentity(t *testing.T) {
+	const k = 12
+	base := lazyTestBuilder(t, k)
+	build := func(i int) *Client {
+		c := base(i)
+		c.Model.Extractor.Append(nn.NewDropout(0.3, c.Rng))
+		return c
+	}
+	for _, kind := range []SchedulerKind{SchedSync, SchedAsyncBounded} {
+		run := func(resident int) ([]RoundMetrics, *Trace) {
+			tr := &Trace{}
+			sim := NewLazySimulation(k, build, resident, Config{
+				Rounds: 4, SampleRate: 0.5, BatchSize: 8, Seed: 11,
+			})
+			hist, err := sim.RunScheduled(&trainAlgo{}, SchedulerConfig{Kind: kind, Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return hist, tr
+		}
+		wantHist, wantTr := run(0)
+		for _, resident := range []int{1, 3} {
+			hist, tr := run(resident)
+			if !reflect.DeepEqual(wantTr, tr) || !reflect.DeepEqual(wantHist, hist) {
+				t.Fatalf("%s: budget %d differs from budget ∞ on a dropout fleet", kind, resident)
+			}
+		}
+	}
+}
+
+// Heterogeneous lazy fleets — the paper's four architectures, and the
+// width-varying CNN2 fleet whose configurations differ client to client so
+// rehydration often finds no shell of the right configuration — are
+// byte-identical at every budget, and a checkpoint taken while clients are
+// parked holds the same client states as the unbounded run's and resumes
+// byte-identically.
+func TestLazyHeterogeneousBudgetByteIdentity(t *testing.T) {
+	const k, rounds, ckptAt = 12, 4, 2
+	geom := models.Config{InC: 1, InH: 12, InW: 12, FeatDim: 8, NumClasses: 10}
+	fleets := []struct {
+		name string
+		cfg  func(i int) models.Config
+	}{
+		{"four-arch", func(i int) models.Config {
+			c := geom
+			c.Arch = models.HeterogeneousSet[i%len(models.HeterogeneousSet)]
+			return c
+		}},
+		{"cnn2-widths", func(i int) models.Config {
+			c := geom
+			c.Arch, c.Width = models.ArchCNN2, 1+i%3
+			return c
+		}},
+	}
+	type result struct {
+		hist   []RoundMetrics
+		trace  *Trace
+		snap   *Snapshot
+		parked int // parked clients when the snapshot was taken
+		builds map[int]int
+	}
+	for _, fleet := range fleets {
+		for _, kind := range []SchedulerKind{SchedSync, SchedAsyncBounded} {
+			run := func(resident int, resume *Snapshot) result {
+				build, builds := countBuilds(archTestBuilder(t, k, fleet.cfg))
+				sim := NewLazySimulation(k, build, resident, Config{
+					Rounds: rounds, SampleRate: 0.5, BatchSize: 8, Seed: 11,
+				})
+				var res result
+				sched := SchedulerConfig{Kind: kind, Trace: &Trace{}, Resume: resume}
+				sched.Checkpoint = func(snap *Snapshot) error {
+					if snap.Round == ckptAt {
+						res.snap = snap
+						sim.store.mu.Lock()
+						res.parked = len(sim.store.parked)
+						sim.store.mu.Unlock()
+					}
+					return nil
+				}
+				hist, err := sim.RunScheduled(&trainAlgo{}, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.hist, res.trace, res.builds = hist, sched.Trace, builds()
+				return res
+			}
+			want := run(0, nil)
+			for _, resident := range []int{1, 3} {
+				got := run(resident, nil)
+				if !reflect.DeepEqual(want.trace, got.trace) || !reflect.DeepEqual(want.hist, got.hist) {
+					t.Fatalf("%s/%s: budget %d differs from budget ∞", fleet.name, kind, resident)
+				}
+				if got.parked == 0 {
+					t.Fatalf("%s/%s: budget %d parked nobody by round %d — the checkpoint exercises nothing", fleet.name, kind, resident, ckptAt)
+				}
+				if !reflect.DeepEqual(want.snap.Clients, got.snap.Clients) {
+					t.Fatalf("%s/%s: budget %d checkpoint client states differ from budget ∞", fleet.name, kind, resident)
+				}
+				if fleet.name == "cnn2-widths" && resident == 1 && totalBuilds(got.builds) == len(got.builds) {
+					t.Fatalf("%s/%s: no shell miss at budget 1 — the config-mismatch path went untested", fleet.name, kind)
+				}
+				resumed := run(resident, got.snap)
+				if !reflect.DeepEqual(want.trace, resumed.trace) || !reflect.DeepEqual(want.hist, resumed.hist) {
+					t.Fatalf("%s/%s: budget %d resume from a parked checkpoint differs from the uninterrupted run", fleet.name, kind, resident)
+				}
+			}
+		}
 	}
 }

@@ -131,3 +131,30 @@ func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil; dropout has no parameters.
 func (d *Dropout) Params() []*Param { return nil }
+
+// ContainsDropout reports whether l is, or nests through Sequential,
+// Residual or Inception, a Dropout layer. Dropout is the one layer whose
+// mutable state (its RNG stream) lives outside Params and Buffers, so
+// copying parameters and buffers into another model of the same shape does
+// not reproduce it.
+func ContainsDropout(l Layer) bool {
+	switch l := l.(type) {
+	case *Dropout:
+		return true
+	case *Sequential:
+		for _, sub := range l.Layers {
+			if ContainsDropout(sub) {
+				return true
+			}
+		}
+	case *Residual:
+		return ContainsDropout(l.Body) || (l.Skip != nil && ContainsDropout(l.Skip))
+	case *Inception:
+		for _, br := range l.Branches {
+			if ContainsDropout(br) {
+				return true
+			}
+		}
+	}
+	return false
+}
