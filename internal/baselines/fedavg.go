@@ -75,16 +75,10 @@ func (f *FedAvg) Setup(sim *fl.Simulation) error {
 }
 
 // Round broadcasts, trains locally (with optional proximal term) and
-// aggregates all weights. With grouping enabled (and no proximal term) the
-// cohort trains as same-configuration lockstep groups with cross-client
-// batched GEMMs — byte-identical to the per-client path by the grouping
-// invariance contract (DESIGN.md §12).
+// aggregates all weights.
 func (f *FedAvg) Round(sim *fl.Simulation, round int, participants []int) error {
 	if len(participants) == 0 {
 		return nil
-	}
-	if f.GroupLocal() && fl.CohortGrouping() {
-		return f.roundGrouped(sim, participants)
 	}
 	errs := make([]error, len(participants))
 	flats := make([][]float64, len(participants))
@@ -111,58 +105,6 @@ func (f *FedAvg) Round(sim *fl.Simulation, round int, participants []int) error 
 	}
 	f.global = weightedAverage(sim, participants, flats)
 	return nil
-}
-
-// roundGrouped is the cohort-grouped sync round: broadcast per client, then
-// one lockstep training pass per same-configuration group, then the same
-// weighted aggregation over uploads in participant order.
-func (f *FedAvg) roundGrouped(sim *fl.Simulation, participants []int) error {
-	flats := make([][]float64, len(participants))
-	slot := make(map[int]int, len(participants))
-	for i, id := range participants {
-		slot[id] = i
-	}
-	for _, grp := range fl.GroupCohort(sim, participants) {
-		cs := make([]*fl.Client, len(grp))
-		for i, id := range grp {
-			c := sim.Client(id)
-			if err := nn.SetFlatParams(c.Model.Params(), f.global); err != nil {
-				return err
-			}
-			sim.Ledger.RecordDown(c.ID, len(f.global))
-			cs[i] = c
-		}
-		for e := 0; e < f.LocalEpochs; e++ {
-			fl.TrainEpochGroupCE(cs, sim.Cfg.BatchSize)
-		}
-		for i, id := range grp {
-			flats[slot[id]] = sim.Uplink(cs[i].ID, nn.FlattenParams(cs[i].Model.Params()))
-		}
-	}
-	f.global = weightedAverage(sim, participants, flats)
-	return nil
-}
-
-// GroupLocal reports whether lockstep grouped training is valid: plain
-// FedAvg groups; FedProx's proximal reference is per client, so it opts out.
-func (f *FedAvg) GroupLocal() bool { return f.Mu == 0 }
-
-// AsyncLocalGroup trains a same-configuration cohort slice in lockstep and
-// returns each client's update, in order.
-func (f *FedAvg) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
-	cs := make([]*fl.Client, len(clients))
-	for i, id := range clients {
-		cs[i] = sim.Client(id)
-	}
-	for e := 0; e < f.LocalEpochs; e++ {
-		fl.TrainEpochGroupCE(cs, sim.Cfg.BatchSize)
-	}
-	us := make([]*fl.Update, len(clients))
-	for i, id := range clients {
-		flat, bytes := sim.QuantizeUplink(id, nn.FlattenParams(cs[i].Model.Params()))
-		us[i] = &fl.Update{Client: id, Scale: fl.DataScale(cs[i]), Vecs: [][]float64{flat}, UpFloats: len(flat), UpBytes: bytes}
-	}
-	return us, nil
 }
 
 // AsyncSetup sizes the sharded aggregation state.

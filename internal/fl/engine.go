@@ -257,6 +257,18 @@ type AsyncAlgorithm interface {
 	AsyncCommit(sim *Simulation) error
 }
 
+// GroupLocalAlgorithm was the hook for training same-configuration clients
+// in lockstep as one batched task.
+//
+// Deprecated: every local update now runs one client per pool task (see
+// DESIGN.md §12); nothing implements or consumes this interface. It stays
+// declared so existing callers that type-assert it keep compiling.
+type GroupLocalAlgorithm interface {
+	AsyncAlgorithm
+	GroupLocal() bool
+	AsyncLocalGroup(sim *Simulation, clients []int) ([]*Update, error)
+}
+
 // TraceEventKind labels entries of a Trace.
 type TraceEventKind uint8
 
@@ -547,9 +559,6 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 	for i := range e.idle {
 		e.idle[i] = true
 	}
-	if ga, ok := algo.(GroupLocalAlgorithm); ok && ga.GroupLocal() && CohortGrouping() {
-		e.groupAlgo = ga
-	}
 	defer e.quiesce() // never leave a pool worker running on any exit path
 
 	if sched.Resume != nil {
@@ -687,13 +696,6 @@ type Engine struct {
 	// Workers serializes on the virtual cluster exactly like runSync's
 	// makespan packing.
 	nodeFree []float64
-	// groupAlgo, when non-nil, batches same-configuration clients'
-	// AsyncLocal calls into lockstep group tasks (cohort grouping). pending
-	// buffers the clients dispatched in the current refill until
-	// launchPending partitions and launches them; it is always drained
-	// before the engine blocks or snapshots.
-	groupAlgo GroupLocalAlgorithm
-	pending   []int
 }
 
 // pinned returns an eviction guard over the clients whose flights are
@@ -709,11 +711,7 @@ func (e *Engine) pinned() func(id int) bool {
 
 // refill tops the virtual nodes back up: the async scheduler keeps every
 // node busy with a randomly drawn present idle client; semi-sync opens a
-// round by sampling a fresh cohort. The refill boundary is the cohort
-// grouping safe point: every client dispatched in this refill is buffered
-// and launched — partitioned into same-configuration lockstep groups — once
-// the scheduling decisions are complete, so grouping never perturbs the
-// dispatch order or the RNG stream.
+// round by sampling a fresh cohort.
 func (e *Engine) refill(cohortSize int) {
 	if e.sched.Kind == SchedSemiSync {
 		e.dispatchCohort(cohortSize)
@@ -721,7 +719,6 @@ func (e *Engine) refill(cohortSize int) {
 		for e.heap.Len() < e.sched.Workers && e.dispatchRandomIdle() {
 		}
 	}
-	e.launchPending()
 }
 
 // schedulable reports whether a client can be engaged now: idle and not
@@ -847,17 +844,6 @@ func (e *Engine) dispatch(id int) {
 		ft.res = &asyncResult{client: id, err: err}
 		return
 	}
-	if e.groupAlgo != nil {
-		// Deferred launch: the client joins the current refill's pending
-		// set and starts training when launchPending partitions it.
-		e.pending = append(e.pending, id)
-		return
-	}
-	e.spawnLocal(id)
-}
-
-// spawnLocal launches one client's solo local update on the worker pool.
-func (e *Engine) spawnLocal(id int) {
 	sim, algo, queue := e.sim, e.algo, e.queue
 	tensor.Spawn(func() {
 		u, err := algo.AsyncLocal(sim, id)
@@ -866,44 +852,6 @@ func (e *Engine) spawnLocal(id int) {
 		}
 		queue <- asyncResult{client: id, u: u, err: err}
 	})
-}
-
-// launchPending partitions the clients dispatched since the last launch into
-// same-configuration groups and starts one lockstep task per group (solo
-// tasks for singletons). A failing group task pushes a result for every
-// member, so the engine's virtual-time resolution never deadlocks.
-func (e *Engine) launchPending() {
-	if e.groupAlgo == nil || len(e.pending) == 0 {
-		return
-	}
-	ids := e.pending
-	e.pending = nil
-	for _, grp := range GroupCohort(e.sim, ids) {
-		if len(grp) == 1 {
-			e.spawnLocal(grp[0])
-			continue
-		}
-		grp := grp
-		sim, ga, queue := e.sim, e.groupAlgo, e.queue
-		tensor.Spawn(func() {
-			us, err := ga.AsyncLocalGroup(sim, grp)
-			if err == nil && len(us) != len(grp) {
-				err = fmt.Errorf("AsyncLocalGroup returned %d updates for %d clients", len(us), len(grp))
-			}
-			for i, id := range grp {
-				if err != nil {
-					queue <- asyncResult{client: id, err: err}
-					continue
-				}
-				u := us[i]
-				var uerr error
-				if u == nil {
-					uerr = fmt.Errorf("AsyncLocalGroup returned a nil update")
-				}
-				queue <- asyncResult{client: id, u: u, err: uerr}
-			}
-		})
-	}
 }
 
 // resolve blocks until the flight's result has arrived on the event queue.

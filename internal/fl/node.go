@@ -745,7 +745,7 @@ func (r *serverRun) handleInbound(ev inbound) {
 		// included: the ledger prices traffic, not semantics.
 		r.n.Ledger.AddUp(ev.id, ev.wire)
 	}
-	if ev.gen != sess.gen {
+	if sess.stale(ev) {
 		// A message from a connection this session already abandoned.
 		return
 	}

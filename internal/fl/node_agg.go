@@ -731,7 +731,7 @@ func (g *aggRun) handleChildInbound(ev inbound) {
 	if ev.err == nil {
 		g.n.Ledger.AddUp(ev.id, ev.wire)
 	}
-	if ev.gen != sess.gen {
+	if sess.stale(ev) {
 		return
 	}
 	if ev.err != nil {

@@ -102,6 +102,22 @@ type inbound struct {
 	err  error
 }
 
+// stale reports whether ev arrived on a connection s has since abandoned;
+// such events are dropped. A stop ack still completes the session, whichever
+// connection carried it: the peer got its goodbye and is exiting. Under a
+// loaded event loop a heartbeat can hit that peer's closed socket before
+// the queued ack is handled, and dropping the ack would then wait out the
+// reconnect window and churn a peer that finished cleanly.
+func (s *peerSession) stale(ev inbound) bool {
+	if ev.gen == s.gen {
+		return false
+	}
+	if ev.err == nil && ev.msg.kind == msgStopAck {
+		s.stopped = true
+	}
+	return true
+}
+
 // acceptedConn is one accept-loop delivery: a handshaken connection with
 // either its decoded join frame (fresh peer) or the session token it
 // presented in the transport hello (reconnecting peer), or the error that

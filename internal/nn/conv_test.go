@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -9,6 +10,24 @@ import (
 
 	"repro/internal/tensor"
 )
+
+func bitsEqual(t *testing.T, ctx string, a, b *tensor.Tensor) {
+	t.Helper()
+	if a.DT.Backing() == tensor.F32 {
+		av, bv := tensor.Of[float32](a), tensor.Of[float32](b)
+		for i := range av {
+			if math.Float32bits(av[i]) != math.Float32bits(bv[i]) {
+				t.Fatalf("%s: element %d: %x vs %x", ctx, i, math.Float32bits(av[i]), math.Float32bits(bv[i]))
+			}
+		}
+		return
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			t.Fatalf("%s: element %d: %x vs %x", ctx, i, math.Float64bits(a.Data[i]), math.Float64bits(b.Data[i]))
+		}
+	}
+}
 
 // refConvStep is the batch-wide lowering the chunked Conv2D replaced, kept
 // only as the differential reference: the whole batch goes into one

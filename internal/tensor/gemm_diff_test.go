@@ -27,6 +27,59 @@ import (
 //     corrupt both tiers identically (they share no assembly, so a common
 //     wrong offset would have to be a driver bug, covered by the f64 mimic).
 
+// gemmForm names one of the three product forms.
+type gemmForm int
+
+const (
+	formNN gemmForm = iota
+	formATB
+	formABT
+)
+
+// operandShapes returns the a/b/out shapes of a form for (m,k,n).
+func operandShapes(form gemmForm, m, k, n int) (ar, ac, br, bc, or_, oc int) {
+	switch form {
+	case formNN:
+		return m, k, k, n, m, n
+	case formATB:
+		return m, k, m, n, k, n
+	default:
+		return m, k, n, k, m, n
+	}
+}
+
+// opShardPlan reproduces the standalone drivers' shard geometry for one
+// product: the tile-aligned chunk size and shard count that runSharded /
+// runShardedAT would use for the given output rows and multiply-add count.
+func opShardPlan(rows, work int) (chunk, nsh int) {
+	shards := gemmShards(rows, work)
+	if shards <= 1 {
+		return rows, 1
+	}
+	chunk, nsh = shardRanges(rows, shards)
+	if nsh <= 1 {
+		return rows, 1
+	}
+	return chunk, nsh
+}
+
+func equalBits(t *testing.T, ctx string, a, b *Tensor) {
+	t.Helper()
+	if a.DT.Backing() == F32 {
+		for i := range a.F32 {
+			if math.Float32bits(a.F32[i]) != math.Float32bits(b.F32[i]) {
+				t.Fatalf("%s: element %d differs: %x vs %x", ctx, i, math.Float32bits(a.F32[i]), math.Float32bits(b.F32[i]))
+			}
+		}
+		return
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			t.Fatalf("%s: element %d differs: %x vs %x", ctx, i, math.Float64bits(a.Data[i]), math.Float64bits(b.Data[i]))
+		}
+	}
+}
+
 // tierState saves and force-sets the kernel dispatch tiers.
 type tierState struct{ fma, fma32, a512, a51232 bool }
 
